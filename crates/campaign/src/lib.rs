@@ -15,8 +15,10 @@
 //! serialisation and any GLVCKPT1 checkpoints taken along the way — is
 //! byte-identical to a single-process [`glaive_faultsim::Campaign`] run
 //! of the same configuration, regardless of worker count, scheduling
-//! order, deaths or retries. See [`coordinator`] for how the merge
-//! guarantees this.
+//! order, deaths or retries: merged records land at their spec index,
+//! every worker recomputes the same plan (checked by a fingerprint
+//! handshake), and completions are validated against the coordinator's
+//! own specs (DESIGN.md §12).
 //!
 //! # Example (in-process fleet)
 //!
@@ -54,14 +56,14 @@ use glaive_faultsim::{CampaignConfig, CampaignError, GroundTruth, RunControl};
 use glaive_isa::Program;
 use glaive_wire::ProtocolError;
 
-pub mod coordinator;
+mod coordinator;
 pub mod protocol;
-pub mod source;
-pub mod worker;
+mod source;
+mod worker;
 
 pub use coordinator::{Coordinator, FabricConfig};
 pub use source::DistributedTruthSource;
-pub use worker::{run_worker, run_worker_on, run_worker_with, WorkerOptions, WorkerReport};
+pub use worker::{run_worker, run_worker_with, WorkerOptions, WorkerReport};
 
 /// Typed failure of the campaign fabric. Worker misbehaviour never
 /// surfaces here — a bad completion is rejected over the wire and its

@@ -74,7 +74,7 @@ pub struct CampaignJob {
 impl CampaignJob {
     /// The campaign configuration the worker must plan with. `threads` is
     /// pinned to 1: parallelism lives in the fleet, not inside a worker.
-    pub fn config(&self) -> CampaignConfig {
+    pub(crate) fn config(&self) -> CampaignConfig {
         CampaignConfig {
             bit_stride: self.bit_stride as usize,
             instances_per_site: self.instances_per_site as usize,

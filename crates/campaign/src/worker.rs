@@ -183,35 +183,6 @@ fn dial_session(
     }
 }
 
-/// [`run_worker`] over an already-connected stream: exactly one session,
-/// no reconnection (used by the in-process fabric and by tests that need
-/// hand-crafted sockets).
-///
-/// # Errors
-///
-/// [`FabricError::PlanMismatch`] when the locally recomputed plan
-/// disagrees with the coordinator's, [`FabricError::Campaign`] when the
-/// shipped job cannot even be planned, [`FabricError::Rejected`] when the
-/// coordinator refuses a completion, [`FabricError::Protocol`] /
-/// [`FabricError::Io`] for wire-level failures.
-pub fn run_worker_on(
-    mut stream: TcpStream,
-    name: &str,
-    cancel: Option<&AtomicBool>,
-) -> Result<WorkerReport, FabricError> {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut report = WorkerReport::default();
-    run_session(
-        &mut stream,
-        name,
-        cancel,
-        WorkerOptions::default().reply_deadline,
-        &mut report,
-    )?;
-    Ok(report)
-}
-
 /// Why a session stopped before the coordinator declared it done.
 enum Stop {
     /// The cancellation flag was raised: a clean end.

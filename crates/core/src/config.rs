@@ -11,7 +11,8 @@ use crate::error::Error;
 /// proceed — the graceful-degradation policy of the supervised pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuorumPolicy {
-    /// Any benchmark failure fails the suite and cancels outstanding work.
+    /// Any benchmark failure fails the suite; after a genuine failure no
+    /// further benchmark is started.
     FailFast,
     /// Proceed on partial results as long as at least this many benchmarks
     /// prepared successfully (must be ≥ 1).
@@ -58,13 +59,6 @@ pub struct PipelineConfig {
     /// Also train the vanilla (all-neighbour) GraphSAGE for the
     /// aggregator ablation (doubles GNN training time).
     pub train_vanilla: bool,
-    /// Append per-node dynamic timing features (issue cycle, residency,
-    /// stall share — from a golden-run `glaive-timing` profile under the
-    /// in-order cost model) to the CDFG feature matrix. Off by default:
-    /// timing-featured models have a wider input dimension than the static
-    /// `glaive_cdfg::FEATURE_DIM` the model server expects, so this is an
-    /// experiment-side ablation knob (BENCH_9), not a serving option.
-    pub timing_features: bool,
     /// Soft wall-clock deadline for one benchmark's FI campaign; the
     /// campaign stops at the next batch boundary past it. `None` = no
     /// limit.
@@ -112,7 +106,6 @@ impl Default for PipelineConfig {
             forest: ForestConfig::default(),
             svr: SvrConfig::default(),
             train_vanilla: false,
-            timing_features: false,
             campaign_deadline: None,
             suite_deadline: None,
             stage_retries: 1,
@@ -157,7 +150,6 @@ impl PipelineConfig {
                 ..SvrConfig::default()
             },
             train_vanilla: true,
-            timing_features: false,
             campaign_deadline: None,
             suite_deadline: None,
             stage_retries: 0,
@@ -288,14 +280,6 @@ impl PipelineConfigBuilder {
     /// Whether to also train the vanilla all-neighbour GraphSAGE.
     pub fn train_vanilla(mut self, yes: bool) -> Self {
         self.config.train_vanilla = yes;
-        self
-    }
-
-    /// Whether to append per-node dynamic timing features to the CDFG
-    /// feature matrix (experiment-side ablation; widens the model input
-    /// beyond what the model server serves).
-    pub fn timing_features(mut self, yes: bool) -> Self {
-        self.config.timing_features = yes;
         self
     }
 
@@ -443,18 +427,6 @@ mod tests {
     #[test]
     fn to_builder_roundtrips() {
         let c = PipelineConfig::quick_test();
-        assert_eq!(c.to_builder().build().expect("still valid"), c);
-    }
-
-    #[test]
-    fn timing_features_default_off_and_builder_settable() {
-        assert!(!PipelineConfig::default().timing_features);
-        assert!(!PipelineConfig::quick_test().timing_features);
-        let c = PipelineConfig::builder()
-            .timing_features(true)
-            .build()
-            .expect("valid");
-        assert!(c.timing_features);
         assert_eq!(c.to_builder().build().expect("still valid"), c);
     }
 

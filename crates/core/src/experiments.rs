@@ -17,9 +17,16 @@ use crate::data::{train_set, BenchData};
 use crate::error::Error;
 use crate::metrics::{bit_accuracy, program_vulnerability_error, top_k_coverage};
 use crate::models::{train_models_with, Method, Models};
-use crate::pipeline::resolve_workers;
 use crate::stats::{vulnerability_distribution, VulnDistribution};
 use crate::telemetry::{NullObserver, Observer, Stage};
+
+/// The number of workers a pool of `jobs` jobs should actually use
+/// (`requested` 0 = available parallelism).
+fn resolve_workers(requested: usize, jobs: usize) -> usize {
+    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let n = if requested == 0 { avail } else { requested };
+    n.clamp(1, jobs.max(1))
+}
 
 /// A fully trained evaluation: the prepared suite plus one set of models
 /// per distinct training split (round-robin n−1 for train/test members,
@@ -403,6 +410,14 @@ mod tests {
     use super::*;
     use crate::data::prepare_benchmark;
     use glaive_bench_suite::control::{dijkstra, sobel};
+
+    #[test]
+    fn resolve_workers_clamps_to_jobs() {
+        assert_eq!(resolve_workers(8, 3), 3);
+        assert_eq!(resolve_workers(2, 12), 2);
+        assert!(resolve_workers(0, 12) >= 1);
+        assert_eq!(resolve_workers(0, 0), 1);
+    }
 
     /// A miniature two-benchmark evaluation exercising the full loop.
     fn tiny_eval() -> (Evaluation, PipelineConfig) {

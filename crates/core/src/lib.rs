@@ -21,9 +21,10 @@
 //! # Example
 //!
 //! The [`Pipeline`] runtime is the front door: it validates the
-//! configuration, prepares the suite on a worker pool (serving repeat
-//! campaigns from the on-disk artifact cache), trains the round-robin
-//! model sets, and reports stage telemetry to any attached
+//! configuration, prepares the suite benchmark by benchmark with each
+//! campaign on every configured core (serving repeat campaigns from the
+//! on-disk artifact cache), trains the round-robin model sets
+//! concurrently, and reports stage telemetry to any attached
 //! [`telemetry::Observer`].
 //!
 //! ```no_run

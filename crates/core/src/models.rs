@@ -87,9 +87,6 @@ pub(crate) fn train_models_with(
     pretrained_glaive: Option<GraphSage>,
 ) -> Models {
     assert!(!train.is_empty(), "training set is empty");
-    // Bit-level models size themselves off the training data, not the
-    // static `glaive_cdfg::FEATURE_DIM` constant — timing-featured
-    // pipelines widen every feature row by TIMING_FEATURE_DIM columns.
     let feature_dim = train[0].features.cols();
 
     // GLAIVE: one labelled graph per benchmark, predecessor aggregation.
@@ -343,30 +340,6 @@ mod tests {
                 .len(),
             test.cdfg.node_count()
         );
-    }
-
-    #[test]
-    fn bit_models_train_and_estimate_at_the_timing_widened_dimension() {
-        let mut config = PipelineConfig::quick_test();
-        config.timing_features = true;
-        config.train_vanilla = false;
-        let train = prepare_benchmark(dijkstra::build(1), &config);
-        assert_eq!(
-            train.features.cols(),
-            glaive_cdfg::FEATURE_DIM + glaive_timing::TIMING_FEATURE_DIM
-        );
-        let models = train_models(&[&train], &config);
-        for method in [Method::Glaive, Method::MlpBit] {
-            let est = models.estimate(method, &train);
-            for pc in train.covered_pcs() {
-                let t = est[pc].expect("covered pc estimated");
-                assert!(
-                    (t.crash + t.sdc + t.masked - 1.0).abs() < 1e-6,
-                    "{} tuple not normalised with timing features",
-                    method.name()
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The pipeline runtime: one configured object that runs suite
-//! preparation, training and evaluation with a scoped worker pool, an
-//! optional on-disk artifact cache, and stage telemetry.
+//! preparation, training and evaluation with an optional on-disk artifact
+//! cache and stage telemetry.
 //!
 //! [`Pipeline`] is the Result-based front door to the crate; the free
 //! functions in [`crate::data`] remain as thin cache-less wrappers.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use glaive_bench_suite::{suite, Benchmark};
@@ -22,23 +22,14 @@ use crate::experiments::Evaluation;
 use crate::telemetry::{NullObserver, Observer, Stage};
 use crate::truth_source::{LocalTruthSource, TruthSource};
 
-/// Forwards campaign injection counts to the pipeline observer and mirrors
-/// the caller's external cancellation flag into the suite-wide abort flag,
-/// so a cancel request reaches running campaigns at batch granularity.
+/// Forwards campaign injection counts to the pipeline observer.
 struct CampaignAdapter<'a> {
     observer: &'a dyn Observer,
     subject: &'a str,
-    external_cancel: Option<&'a AtomicBool>,
-    abort: Option<&'a AtomicBool>,
 }
 
 impl CampaignProgress for CampaignAdapter<'_> {
     fn injections(&self, done: usize, total: usize) {
-        if let (Some(external), Some(abort)) = (self.external_cancel, self.abort) {
-            if external.load(Ordering::Relaxed) {
-                abort.store(true, Ordering::Relaxed);
-            }
-        }
         self.observer
             .progress(Stage::Campaign, self.subject, done as u64, total as u64);
     }
@@ -249,18 +240,19 @@ impl PipelineBuilder {
         self
     }
 
-    /// Suite-preparation worker threads (0 = available parallelism). Each
-    /// worker prepares one benchmark at a time; campaign threads inside a
-    /// worker are scaled down so the pool does not oversubscribe the
-    /// machine.
+    /// How many distinct training splits [`Pipeline::evaluation`] trains
+    /// at once (0 = available parallelism). Suite preparation ignores it:
+    /// benchmarks are prepared in order, each campaign on
+    /// [`PipelineConfig::threads`] cores.
     pub fn workers(mut self, n: usize) -> Self {
         self.pipeline.workers = n;
         self
     }
 
     /// Attaches a cooperative cancellation flag: raising it (e.g. from a
-    /// Ctrl-C handler) stops suite preparation at the next batch boundary,
-    /// checkpointing interrupted campaigns.
+    /// Ctrl-C handler) stops suite preparation before the next chunk
+    /// lease, checkpointing interrupted campaigns. Every campaign the
+    /// pipeline starts gets this flag as its [`RunControl::cancel`].
     pub fn cancel_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.pipeline.cancel = Some(flag);
         self
@@ -305,7 +297,8 @@ impl Pipeline {
 
     /// Prepares one benchmark: FI campaign (or cache hit) + graph build.
     ///
-    /// The campaign runs supervised — panics are caught and retried per
+    /// The campaign runs supervised on [`PipelineConfig::threads`] cores
+    /// — panics are caught and retried per
     /// [`PipelineConfig::stage_retries`], deadlines and the cancellation
     /// flag are honoured, and interrupted campaigns checkpoint into the
     /// cache for a later resume.
@@ -318,28 +311,16 @@ impl Pipeline {
     /// computed ground truth cannot be written back. Cache *reads* never
     /// fail — a missing or corrupt artifact is recomputed.
     pub fn prepare_benchmark(&self, bench: Benchmark) -> Result<BenchData, Error> {
-        let abort = AtomicBool::new(false);
         let suite_deadline = self.config.suite_deadline.map(|d| Instant::now() + d);
-        let (result, _attempts) = prepare_one_supervised(
-            bench,
-            &self.config,
-            self.cache.as_ref(),
-            self.observer.as_ref(),
-            self.truth_source.as_ref(),
-            self.config.threads,
-            self.cancel.as_deref(),
-            &abort,
-            suite_deadline,
-        );
-        result
+        self.prepare_one(bench, suite_deadline).0
     }
 
-    /// Prepares the full 12-benchmark Table-II suite in parallel.
+    /// Prepares the full 12-benchmark Table-II suite, in order.
     pub fn prepare_suite(&self, seed: u64) -> Result<Vec<BenchData>, Error> {
         self.prepare_benchmarks(suite(seed))
     }
 
-    /// Prepares an arbitrary benchmark list in parallel, preserving order.
+    /// Prepares an arbitrary benchmark list, in order.
     ///
     /// Strict all-or-nothing view over the supervised driver: any failure
     /// is returned as this method's error. Use
@@ -355,23 +336,65 @@ impl Pipeline {
         self.prepare_benchmarks_supervised(suite(seed))
     }
 
-    /// Prepares an arbitrary benchmark list under supervision: panicking
-    /// stages are isolated to their benchmark (and retried per
-    /// [`PipelineConfig::stage_retries`]), deadlines and cancellation stop
-    /// outstanding work cooperatively, interrupted campaigns checkpoint
-    /// into the cache, and the report records every benchmark's fate so
-    /// callers can degrade gracefully via
+    /// Prepares an arbitrary benchmark list under supervision, one
+    /// benchmark after another, each exactly as
+    /// [`Pipeline::prepare_benchmark`] does (its campaign on every
+    /// configured core). Panicking stages are isolated to their benchmark
+    /// (and retried per [`PipelineConfig::stage_retries`]), interrupted
+    /// campaigns checkpoint into the cache, and the report records every
+    /// benchmark's fate so callers can degrade gracefully via
     /// [`SuiteReport::check_quorum`].
+    ///
+    /// Before each benchmark the loop checks the cancellation flag, the
+    /// suite deadline and, under [`QuorumPolicy::FailFast`], any earlier
+    /// genuine failure; once one of them fires, the remaining benchmarks
+    /// are recorded as interrupted with zero attempts and never started.
     pub fn prepare_benchmarks_supervised(&self, benches: Vec<Benchmark>) -> SuiteReport {
-        prepare_benchmarks_supervised(
-            benches,
-            &self.config,
-            self.cache.as_ref(),
-            self.observer.as_ref(),
-            self.truth_source.as_ref(),
-            self.workers,
-            self.cancel.as_deref(),
-        )
+        let t_suite = Instant::now();
+        let suite_deadline = self.config.suite_deadline.map(|d| t_suite + d);
+        let mut prepared = Vec::with_capacity(benches.len());
+        let mut outcomes = Vec::with_capacity(benches.len());
+        let mut failed_fast = false;
+        for bench in benches {
+            let t0 = Instant::now();
+            let name = bench.name;
+            let (result, attempts) = match self.suite_interruption(failed_fast, suite_deadline) {
+                Some(reason) => (
+                    Err(Error::Interrupted {
+                        subject: name.to_string(),
+                        reason,
+                        completed: 0,
+                        total: 0,
+                    }),
+                    0,
+                ),
+                None => self.prepare_one(bench, suite_deadline),
+            };
+            let error = match result {
+                Ok(data) => {
+                    prepared.push(data);
+                    None
+                }
+                Err(e) => {
+                    // A genuine failure (not an interruption) under
+                    // fail-fast stops the rest of the suite.
+                    failed_fast |= self.config.quorum == QuorumPolicy::FailFast
+                        && !matches!(e, Error::Interrupted { .. });
+                    Some(e)
+                }
+            };
+            outcomes.push(BenchOutcome {
+                benchmark: name.to_string(),
+                attempts,
+                elapsed: t0.elapsed(),
+                error,
+            });
+        }
+        SuiteReport {
+            prepared,
+            outcomes,
+            elapsed: t_suite.elapsed(),
+        }
     }
 
     /// Trains the round-robin model sets for `suite` (reusing cached
@@ -391,7 +414,7 @@ impl Pipeline {
         )
     }
 
-    /// The whole pipeline: parallel suite preparation, then training and
+    /// The whole pipeline: suite preparation, then training and
     /// evaluation.
     pub fn run(&self, seed: u64) -> Result<Evaluation, Error> {
         let suite = self.prepare_suite(seed)?;
@@ -413,162 +436,138 @@ impl Pipeline {
         let eval = self.evaluation(report.take_prepared())?;
         Ok((eval, report))
     }
-}
 
-/// What stopped the suite, if anything: the external cancel flag and the
-/// suite-wide abort ripple read as cancellation, then the suite deadline.
-fn suite_interruption(
-    external_cancel: Option<&AtomicBool>,
-    abort: &AtomicBool,
-    suite_deadline: Option<Instant>,
-) -> Option<InterruptReason> {
-    if external_cancel.is_some_and(|c| c.load(Ordering::Relaxed)) || abort.load(Ordering::Relaxed) {
-        return Some(InterruptReason::Cancelled);
+    /// Why the suite loop stops starting benchmarks, if it does: a raised
+    /// cancellation flag or an earlier fail-fast failure reads as
+    /// cancellation, then the suite deadline.
+    fn suite_interruption(
+        &self,
+        failed_fast: bool,
+        suite_deadline: Option<Instant>,
+    ) -> Option<InterruptReason> {
+        let cancelled = self
+            .cancel
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::Relaxed));
+        if failed_fast || cancelled {
+            return Some(InterruptReason::Cancelled);
+        }
+        if suite_deadline.is_some_and(|d| Instant::now() >= d) {
+            return Some(InterruptReason::DeadlineExceeded);
+        }
+        None
     }
-    if suite_deadline.is_some_and(|d| Instant::now() >= d) {
-        return Some(InterruptReason::DeadlineExceeded);
-    }
-    None
-}
 
-/// Supervised preparation of one benchmark: each attempt runs under
-/// `catch_unwind` so a panic anywhere in the campaign or graph build is
-/// isolated to this benchmark, and panicked attempts are retried up to
-/// [`PipelineConfig::stage_retries`] times. Returns the terminal result
-/// and the number of attempts made.
-#[allow(clippy::too_many_arguments)]
-fn prepare_one_supervised(
-    bench: Benchmark,
-    config: &PipelineConfig,
-    cache: Option<&ArtifactCache>,
-    observer: &dyn Observer,
-    truth_source: &dyn TruthSource,
-    campaign_threads: usize,
-    external_cancel: Option<&AtomicBool>,
-    abort: &AtomicBool,
-    suite_deadline: Option<Instant>,
-) -> (Result<BenchData, Error>, usize) {
-    let name = bench.name;
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        let current_stage = Cell::new(Stage::Campaign);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            prepare_one_attempt(
-                bench.clone(),
-                config,
-                cache,
-                observer,
-                truth_source,
-                campaign_threads,
-                external_cancel,
-                abort,
-                suite_deadline,
-                &current_stage,
-            )
-        }));
-        match outcome {
-            Ok(result) => return (result, attempts),
-            Err(payload) => {
-                let message = panic_message(payload);
-                observer.stage_failed(current_stage.get(), name, attempts, &message);
-                if attempts <= config.stage_retries {
-                    continue;
+    /// Supervised preparation of one benchmark: each attempt runs under
+    /// `catch_unwind` so a panic anywhere in the campaign or graph build is
+    /// isolated to this benchmark, and panicked attempts are retried up to
+    /// [`PipelineConfig::stage_retries`] times. Returns the terminal result
+    /// and the number of attempts made.
+    fn prepare_one(
+        &self,
+        bench: Benchmark,
+        suite_deadline: Option<Instant>,
+    ) -> (Result<BenchData, Error>, usize) {
+        let name = bench.name;
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            let current_stage = Cell::new(Stage::Campaign);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                self.prepare_attempt(bench.clone(), suite_deadline, &current_stage)
+            }));
+            match outcome {
+                Ok(result) => return (result, attempts),
+                Err(payload) => {
+                    let message = panic_message(payload);
+                    self.observer
+                        .stage_failed(current_stage.get(), name, attempts, &message);
+                    if attempts <= self.config.stage_retries {
+                        continue;
+                    }
+                    return (
+                        Err(Error::StageFailed {
+                            stage: current_stage.get(),
+                            subject: name.to_string(),
+                            message,
+                        }),
+                        attempts,
+                    );
                 }
-                return (
-                    Err(Error::StageFailed {
-                        stage: current_stage.get(),
-                        subject: name.to_string(),
-                        message,
-                    }),
-                    attempts,
-                );
             }
         }
     }
-}
 
-/// One supervised preparation attempt: campaign-or-cache (with checkpoint
-/// resume, cancellation and deadlines) plus graph build. `current_stage`
-/// tracks where execution is so a caught panic can be attributed.
-#[allow(clippy::too_many_arguments)]
-fn prepare_one_attempt(
-    bench: Benchmark,
-    config: &PipelineConfig,
-    cache: Option<&ArtifactCache>,
-    observer: &dyn Observer,
-    truth_source: &dyn TruthSource,
-    campaign_threads: usize,
-    external_cancel: Option<&AtomicBool>,
-    abort: &AtomicBool,
-    suite_deadline: Option<Instant>,
-    current_stage: &Cell<Stage>,
-) -> Result<BenchData, Error> {
-    let name = bench.name;
-    current_stage.set(Stage::Campaign);
-    let truth = match load_cached_truth(&bench, config, cache, observer) {
-        Some(truth) => truth,
-        None => {
-            observer.stage_started(Stage::Campaign, name);
-            let t0 = Instant::now();
-            let mut campaign_config = config.campaign();
-            campaign_config.threads = campaign_threads;
-            let adapter = CampaignAdapter {
-                observer,
-                subject: name,
-                external_cancel,
-                abort: Some(abort),
-            };
-            let key = truth_key(&bench, &config.campaign());
-            let sink = cache.map(|c| c.checkpoint_sink(key));
-            let campaign_deadline = config.campaign_deadline.map(|d| Instant::now() + d);
-            let deadline = match (suite_deadline, campaign_deadline) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            let ctrl = RunControl {
-                progress: &adapter,
-                cancel: Some(abort),
-                deadline,
-                checkpoint: sink.as_ref().map(|s| s as &dyn CheckpointSink),
-                checkpoint_interval: config.checkpoint_interval,
-            };
-            let truth = truth_source.ground_truth(&bench, campaign_config, &ctrl)?;
-            // A degenerate campaign (no observations at all) cannot back
-            // any vulnerability statistic — fail this benchmark's
-            // preparation rather than panicking at aggregation time.
-            truth.try_program_vulnerability()?;
-            observer.stage_finished(
-                Stage::Campaign,
-                name,
-                t0.elapsed(),
-                truth.total_injections() as u64,
-            );
-            if let Some(cache) = cache {
-                cache.store_truth(key, &truth)?;
-                // The completed truth supersedes any partial snapshot.
-                cache.checkpoint_sink(key).clear();
+    /// One supervised preparation attempt: campaign-or-cache (with
+    /// checkpoint resume, cancellation and deadlines) plus graph build.
+    /// `current_stage` tracks where execution is so a caught panic can be
+    /// attributed.
+    fn prepare_attempt(
+        &self,
+        bench: Benchmark,
+        suite_deadline: Option<Instant>,
+        current_stage: &Cell<Stage>,
+    ) -> Result<BenchData, Error> {
+        let (config, cache, observer) = (&self.config, self.cache.as_ref(), self.observer.as_ref());
+        let name = bench.name;
+        current_stage.set(Stage::Campaign);
+        let truth = match load_cached_truth(&bench, config, cache, observer) {
+            Some(truth) => truth,
+            None => {
+                observer.stage_started(Stage::Campaign, name);
+                let t0 = Instant::now();
+                let adapter = CampaignAdapter {
+                    observer,
+                    subject: name,
+                };
+                let key = truth_key(&bench, &config.campaign());
+                let sink = cache.map(|c| c.checkpoint_sink(key));
+                let campaign_deadline = config.campaign_deadline.map(|d| Instant::now() + d);
+                let deadline = match (suite_deadline, campaign_deadline) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+                let ctrl = RunControl {
+                    progress: &adapter,
+                    cancel: self.cancel.as_deref(),
+                    deadline,
+                    checkpoint: sink.as_ref().map(|s| s as &dyn CheckpointSink),
+                    checkpoint_interval: config.checkpoint_interval,
+                };
+                let truth = self
+                    .truth_source
+                    .ground_truth(&bench, config.campaign(), &ctrl)?;
+                // A degenerate campaign (no observations at all) cannot back
+                // any vulnerability statistic — fail this benchmark's
+                // preparation rather than panicking at aggregation time.
+                truth.try_program_vulnerability()?;
+                observer.stage_finished(
+                    Stage::Campaign,
+                    name,
+                    t0.elapsed(),
+                    truth.total_injections() as u64,
+                );
+                if let Some(cache) = cache {
+                    cache.store_truth(key, &truth)?;
+                    // The completed truth supersedes any partial snapshot.
+                    cache.checkpoint_sink(key).clear();
+                }
+                truth
             }
-            truth
-        }
-    };
+        };
 
-    current_stage.set(Stage::GraphBuild);
-    observer.stage_started(Stage::GraphBuild, name);
-    let t0 = Instant::now();
-    let data = assemble_bench_data(
-        bench,
-        config.effective_graph_stride(),
-        config.timing_features,
-        truth,
-    );
-    observer.stage_finished(
-        Stage::GraphBuild,
-        name,
-        t0.elapsed(),
-        data.cdfg.node_count() as u64,
-    );
-    Ok(data)
+        current_stage.set(Stage::GraphBuild);
+        observer.stage_started(Stage::GraphBuild, name);
+        let t0 = Instant::now();
+        let data = assemble_bench_data(bench, config.effective_graph_stride(), truth);
+        observer.stage_finished(
+            Stage::GraphBuild,
+            name,
+            t0.elapsed(),
+            data.cdfg.node_count() as u64,
+        );
+        Ok(data)
+    }
 }
 
 /// A cached ground truth for `bench`, if present, intact, and shaped like
@@ -589,176 +588,22 @@ fn load_cached_truth(
     truth
 }
 
-/// The number of workers a pool should actually use.
-pub(crate) fn resolve_workers(requested: usize, jobs: usize) -> usize {
-    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let n = if requested == 0 { avail } else { requested };
-    n.clamp(1, jobs.max(1))
-}
-
-/// Strict all-or-nothing wrapper over the supervised driver, for the
-/// cache-less [`crate::data::prepare_suite`] and
-/// [`Pipeline::prepare_benchmarks`].
-pub(crate) fn prepare_benchmarks_parallel(
-    benches: Vec<Benchmark>,
-    config: &PipelineConfig,
-    cache: Option<&ArtifactCache>,
-    observer: &dyn Observer,
-    workers: usize,
-) -> Result<Vec<BenchData>, Error> {
-    prepare_benchmarks_supervised(
-        benches,
-        config,
-        cache,
-        observer,
-        &LocalTruthSource,
-        workers,
-        None,
-    )
-    .into_result()
-}
-
-/// Supervised parallel driver behind [`Pipeline::prepare_benchmarks_supervised`]:
-/// a scoped worker pool pulls benchmarks off an atomic queue, each worker
-/// running its campaign with a share of the machine's cores so concurrent
-/// campaigns don't oversubscribe it. A benchmark failure is isolated to
-/// its queue slot; under [`QuorumPolicy::FailFast`] it also raises the
-/// suite-wide abort flag so outstanding work stops cooperatively.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn prepare_benchmarks_supervised(
-    benches: Vec<Benchmark>,
-    config: &PipelineConfig,
-    cache: Option<&ArtifactCache>,
-    observer: &dyn Observer,
-    truth_source: &dyn TruthSource,
-    workers: usize,
-    external_cancel: Option<&AtomicBool>,
-) -> SuiteReport {
-    let t_suite = Instant::now();
-    let jobs = benches.len();
-    if jobs == 0 {
-        return SuiteReport {
-            prepared: Vec::new(),
-            outcomes: Vec::new(),
-            elapsed: t_suite.elapsed(),
-        };
-    }
-    let workers = resolve_workers(workers, jobs);
-    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let campaign_budget = if config.threads == 0 {
-        avail
-    } else {
-        config.threads
-    };
-    let campaign_threads = (campaign_budget / workers).max(1);
-    let suite_deadline = config.suite_deadline.map(|d| t_suite + d);
-    let abort = AtomicBool::new(false);
-
-    let names: Vec<&str> = benches.iter().map(|b| b.name).collect();
-    let benches: Vec<Mutex<Option<Benchmark>>> =
-        benches.into_iter().map(|b| Mutex::new(Some(b))).collect();
-    let next = AtomicUsize::new(0);
-    type Slot = (Result<BenchData, Error>, usize, Duration);
-    let results: Vec<Mutex<Option<Slot>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    return;
-                }
-                let bench = benches[i]
-                    .lock()
-                    .expect("bench slot")
-                    .take()
-                    .expect("each job taken once");
-                let t0 = Instant::now();
-                // Jobs still queued when the suite is interrupted are
-                // marked, not run.
-                let (out, attempts) =
-                    match suite_interruption(external_cancel, &abort, suite_deadline) {
-                        Some(reason) => (
-                            Err(Error::Interrupted {
-                                subject: names[i].to_string(),
-                                reason,
-                                completed: 0,
-                                total: 0,
-                            }),
-                            0,
-                        ),
-                        None => prepare_one_supervised(
-                            bench,
-                            config,
-                            cache,
-                            observer,
-                            truth_source,
-                            campaign_threads,
-                            external_cancel,
-                            &abort,
-                            suite_deadline,
-                        ),
-                    };
-                // A genuine failure (not a cancellation ripple) under
-                // fail-fast stops the rest of the suite.
-                if config.quorum == QuorumPolicy::FailFast
-                    && matches!(out, Err(ref e) if !matches!(e, Error::Interrupted { .. }))
-                {
-                    abort.store(true, Ordering::Relaxed);
-                }
-                *results[i].lock().expect("result slot") = Some((out, attempts, t0.elapsed()));
-            });
-        }
-    });
-
-    let mut prepared = Vec::with_capacity(jobs);
-    let mut outcomes = Vec::with_capacity(jobs);
-    for (slot, name) in results.into_iter().zip(names) {
-        let (result, attempts, elapsed) = slot
-            .into_inner()
-            .expect("slot lock")
-            .expect("worker filled slot");
-        let error = match result {
-            Ok(data) => {
-                prepared.push(data);
-                None
-            }
-            Err(e) => Some(e),
-        };
-        outcomes.push(BenchOutcome {
-            benchmark: name.to_string(),
-            attempts,
-            elapsed,
-            error,
-        });
-    }
-    SuiteReport {
-        prepared,
-        outcomes,
-        elapsed: t_suite.elapsed(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
+
     use crate::telemetry::test_support::PanicOnStart;
     use crate::telemetry::{Fanout, TimingRecorder};
     use glaive_bench_suite::control::{dijkstra, sobel};
+    use glaive_faultsim::CampaignConfig;
 
     fn temp_cache(tag: &str) -> ArtifactCache {
         let dir =
             std::env::temp_dir().join(format!("glaive-pipeline-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         ArtifactCache::new(dir)
-    }
-
-    #[test]
-    fn resolve_workers_clamps_to_jobs() {
-        assert_eq!(resolve_workers(8, 3), 3);
-        assert_eq!(resolve_workers(2, 12), 2);
-        assert!(resolve_workers(0, 12) >= 1);
-        assert_eq!(resolve_workers(0, 0), 1);
     }
 
     #[test]
@@ -949,6 +794,152 @@ mod tests {
         ));
     }
 
+    /// Records every stage start, in order.
+    #[derive(Default)]
+    struct StartLog(Mutex<Vec<(Stage, String)>>);
+
+    impl Observer for StartLog {
+        fn stage_started(&self, stage: Stage, subject: &str) {
+            self.0
+                .lock()
+                .expect("log lock")
+                .push((stage, subject.to_string()));
+        }
+    }
+
+    #[test]
+    fn fail_fast_failure_keeps_later_benchmarks_from_starting() {
+        let mut config = PipelineConfig::quick_test();
+        config.quorum = QuorumPolicy::FailFast;
+        config.stage_retries = 0;
+        let log = Arc::new(StartLog::default());
+        let panicker = Arc::new(PanicOnStart {
+            stage: Stage::Campaign,
+            subject: Some("dijkstra"),
+            remaining: AtomicUsize::new(usize::MAX),
+        });
+        let pipeline = Pipeline::builder(config)
+            .observer(Arc::new(Fanout(vec![log.clone(), panicker])))
+            .workers(2)
+            .build()
+            .expect("valid");
+        let report =
+            pipeline.prepare_benchmarks_supervised(vec![dijkstra::build(1), sobel::build(1)]);
+
+        let [first, second] = report.outcomes() else {
+            panic!("one outcome per benchmark: {:?}", report.outcomes());
+        };
+        assert!(
+            matches!(
+                first.error,
+                Some(Error::StageFailed {
+                    stage: Stage::Campaign,
+                    ..
+                })
+            ),
+            "{:?}",
+            first.error
+        );
+        assert_eq!(second.benchmark, "sobel");
+        assert_eq!(second.attempts, 0, "sobel was never attempted");
+        assert!(
+            matches!(
+                second.error,
+                Some(Error::Interrupted {
+                    reason: InterruptReason::Cancelled,
+                    completed: 0,
+                    ..
+                })
+            ),
+            "{:?}",
+            second.error
+        );
+        let started = log.0.lock().expect("log lock");
+        assert!(
+            !started
+                .iter()
+                .any(|(stage, subject)| *stage == Stage::Campaign && subject == "sobel"),
+            "sobel's campaign started: {started:?}"
+        );
+        // The genuine failure, not the cancellation it caused, is reported.
+        assert!(matches!(
+            report.check_quorum(QuorumPolicy::FailFast),
+            Err(Error::StageFailed { .. })
+        ));
+    }
+
+    /// A truth source that never reports progress: it polls the control's
+    /// interruption check, as a fabric that merges nothing or a retry
+    /// backoff waiting on `ctrl.cancel` does, and gives up after 3 s.
+    struct SilentSource;
+
+    impl TruthSource for SilentSource {
+        fn ground_truth(
+            &self,
+            bench: &Benchmark,
+            _config: CampaignConfig,
+            ctrl: &RunControl<'_>,
+        ) -> Result<GroundTruth, Error> {
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_secs(3) {
+                if let Some(reason) = ctrl.interruption() {
+                    return Err(Error::Interrupted {
+                        subject: bench.name.to_string(),
+                        reason,
+                        completed: 0,
+                        total: 0,
+                    });
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(Error::StageFailed {
+                stage: Stage::Campaign,
+                subject: bench.name.to_string(),
+                message: "the cancel flag never reached the truth source".to_string(),
+            })
+        }
+    }
+
+    #[test]
+    fn cancel_reaches_a_truth_source_that_reports_no_progress() {
+        type Prepare = fn(&Pipeline) -> Option<Error>;
+        let entry_points: [(&str, Prepare); 2] = [
+            ("prepare_benchmark", |p| {
+                p.prepare_benchmark(dijkstra::build(1)).err()
+            }),
+            ("prepare_benchmarks_supervised", |p| {
+                p.prepare_benchmarks_supervised(vec![dijkstra::build(1)])
+                    .first_error()
+                    .cloned()
+            }),
+        ];
+        for (entry, prepare) in entry_points {
+            let cancel = Arc::new(AtomicBool::new(false));
+            let pipeline = Pipeline::builder(PipelineConfig::quick_test())
+                .truth_source(Arc::new(SilentSource))
+                .cancel_flag(cancel.clone())
+                .build()
+                .expect("valid");
+            let err = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    std::thread::sleep(Duration::from_millis(200));
+                    cancel.store(true, Ordering::Relaxed);
+                });
+                prepare(&pipeline)
+            });
+            assert!(
+                matches!(
+                    err,
+                    Some(Error::Interrupted {
+                        reason: InterruptReason::Cancelled,
+                        ..
+                    })
+                ),
+                "{entry}: {err:?}"
+            );
+        }
+    }
+
     /// Raises the pipeline's external cancel flag once campaign progress
     /// starts flowing — simulates a Ctrl-C arriving mid-campaign.
     struct CancelOnProgress {
@@ -966,55 +957,89 @@ mod tests {
     #[test]
     fn cancelled_campaign_checkpoints_into_cache_and_resumes_identically() {
         let config = PipelineConfig::quick_test();
-        let cache = temp_cache("ckpt-resume");
-        let reference = crate::data::prepare_benchmark(dijkstra::build(1), &config);
-        let key = truth_key(&dijkstra::build(1), &config.campaign());
+        let reference = [dijkstra::build(1), sobel::build(1)]
+            .map(|b| crate::data::prepare_benchmark(b, &config));
 
-        let cancel = Arc::new(AtomicBool::new(false));
-        let pipeline = Pipeline::builder(config)
-            .cache(cache.clone())
-            .observer(Arc::new(CancelOnProgress {
-                flag: cancel.clone(),
-            }))
-            .cancel_flag(cancel)
-            .build()
-            .expect("valid");
-        let err = pipeline
-            .prepare_benchmark(dijkstra::build(1))
-            .expect_err("cancelled mid-campaign");
-        assert!(
-            matches!(
-                err,
-                Error::Interrupted {
-                    reason: InterruptReason::Cancelled,
-                    ..
-                }
+        // One benchmark through `prepare_benchmark`, and two through the
+        // suite loop, where the cancel raised inside the first campaign
+        // must also keep the second from starting.
+        let inputs = [
+            ("ckpt-resume", vec![dijkstra::build(1)]),
+            (
+                "ckpt-resume-suite",
+                vec![dijkstra::build(1), sobel::build(1)],
             ),
-            "{err}"
-        );
-        assert!(
-            cache.checkpoint_sink(key).load().is_some(),
-            "interruption leaves a checkpoint behind"
-        );
+        ];
+        for (tag, benches) in inputs {
+            let cache = temp_cache(tag);
+            let keys: Vec<_> = benches
+                .iter()
+                .map(|b| truth_key(b, &config.campaign()))
+                .collect();
+            let cancel = Arc::new(AtomicBool::new(false));
+            let pipeline = Pipeline::builder(config)
+                .cache(cache.clone())
+                .observer(Arc::new(CancelOnProgress {
+                    flag: cancel.clone(),
+                }))
+                .cancel_flag(cancel)
+                .build()
+                .expect("valid");
+            let err = match benches.as_slice() {
+                [bench] => pipeline
+                    .prepare_benchmark(bench.clone())
+                    .expect_err("cancelled mid-campaign"),
+                _ => {
+                    let report = pipeline.prepare_benchmarks_supervised(benches.clone());
+                    assert!(
+                        report.outcomes()[1..].iter().all(|o| o.attempts == 0),
+                        "{tag}: a benchmark after the cancel started"
+                    );
+                    report.into_result().expect_err("cancelled mid-campaign")
+                }
+            };
+            assert!(
+                matches!(
+                    err,
+                    Error::Interrupted {
+                        reason: InterruptReason::Cancelled,
+                        ..
+                    }
+                ),
+                "{tag}: {err}"
+            );
+            assert!(
+                cache.checkpoint_sink(keys[0]).load().is_some(),
+                "{tag}: interruption leaves a checkpoint behind"
+            );
+            for &key in &keys[1..] {
+                assert!(
+                    cache.checkpoint_sink(key).load().is_none(),
+                    "{tag}: a benchmark that never started leaves no checkpoint"
+                );
+            }
 
-        // A fresh pipeline over the same cache resumes from the checkpoint,
-        // completes, and reproduces the uninterrupted truth byte-for-byte.
-        let resumed = Pipeline::builder(config)
-            .cache(cache.clone())
-            .build()
-            .expect("valid")
-            .prepare_benchmark(dijkstra::build(1))
-            .expect("resume completes");
-        assert_eq!(resumed.truth.to_bytes(), reference.truth.to_bytes());
-        assert_eq!(resumed.labels, reference.labels);
-        assert!(
-            cache.checkpoint_sink(key).load().is_none(),
-            "completed truth supersedes the checkpoint"
-        );
-        assert!(
-            cache.load_truth(key).is_some(),
-            "finished truth landed in the cache"
-        );
+            // A fresh pipeline over the same cache resumes from the
+            // checkpoint, completes, and reproduces the uninterrupted truth
+            // byte-for-byte.
+            let fresh = Pipeline::builder(config)
+                .cache(cache.clone())
+                .build()
+                .expect("valid");
+            for ((bench, key), want) in benches.into_iter().zip(keys).zip(&reference) {
+                let resumed = fresh.prepare_benchmark(bench).expect("resume completes");
+                assert_eq!(resumed.truth.to_bytes(), want.truth.to_bytes());
+                assert_eq!(resumed.labels, want.labels);
+                assert!(
+                    cache.checkpoint_sink(key).load().is_none(),
+                    "completed truth supersedes the checkpoint"
+                );
+                assert!(
+                    cache.load_truth(key).is_some(),
+                    "finished truth landed in the cache"
+                );
+            }
+        }
     }
 
     /// The `train_threads` knob must never perturb persisted artifacts:

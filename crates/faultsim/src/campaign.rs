@@ -303,7 +303,7 @@ impl<'p, I: Isa> Campaign<'p, I> {
     /// Enumerates the fault specs the campaign will inject, in deterministic
     /// order. Sites on never-executed instructions are pruned (a fault there
     /// cannot activate), mirroring Approxilyzer's reachability pruning.
-    pub fn enumerate_sites(&self, exec_counts: &[u64]) -> Vec<FaultSpec> {
+    pub(crate) fn enumerate_sites(&self, exec_counts: &[u64]) -> Vec<FaultSpec> {
         let mut specs = Vec::new();
         for (pc, instr) in self.program.instrs().iter().enumerate() {
             let count = exec_counts[pc];

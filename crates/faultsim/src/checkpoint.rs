@@ -173,18 +173,12 @@ impl CheckpointSink for FileCheckpoint {
 #[derive(Debug, Default)]
 pub struct MemoryCheckpoint {
     bytes: Mutex<Option<Vec<u8>>>,
-    saves: Mutex<usize>,
 }
 
 impl MemoryCheckpoint {
     /// A fresh, empty sink.
     pub fn new() -> MemoryCheckpoint {
         MemoryCheckpoint::default()
-    }
-
-    /// How many snapshots have been saved into this sink.
-    pub fn save_count(&self) -> usize {
-        *self.saves.lock().expect("saves lock")
     }
 }
 
@@ -195,7 +189,6 @@ impl CheckpointSink for MemoryCheckpoint {
 
     fn save(&self, bytes: &[u8]) {
         *self.bytes.lock().expect("bytes lock") = Some(bytes.to_vec());
-        *self.saves.lock().expect("saves lock") += 1;
     }
 
     fn clear(&self) {

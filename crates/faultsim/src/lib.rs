@@ -37,7 +37,7 @@
 
 mod campaign;
 mod checkpoint;
-pub mod pruning;
+mod pruning;
 mod scheduler;
 mod serdes;
 mod truth;

@@ -25,7 +25,7 @@ use glaive_isa::{Isa, Program};
 /// Dead definitions are exactly the sites whose `Def`-slot faults are
 /// provably Masked. Works for any instruction-set backend: the analysis
 /// only consumes the backend's declared def/use sets.
-pub fn dead_defs<I: Isa>(program: &Program<I>) -> Vec<bool> {
+pub(crate) fn dead_defs<I: Isa>(program: &Program<I>) -> Vec<bool> {
     let mut has_consumer = vec![false; program.len()];
     for e in def_use_chains(program) {
         has_consumer[e.def_pc] = true;

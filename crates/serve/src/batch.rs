@@ -11,7 +11,6 @@
 //! sequences — they would see alone.
 
 use std::collections::VecDeque;
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 
 use glaive_gnn::GraphSage;
@@ -95,10 +94,11 @@ impl<T> JobQueue<T> {
     }
 
     /// Closes the queue *and* discards its backlog, returning the dropped
-    /// items. For abnormal consumer exits: dropping a queued
-    /// [`InferenceJob`] drops its reply `Sender`, so producers blocked on
-    /// the matching receiver wake with a disconnect error instead of
-    /// waiting for a batch that will never run.
+    /// items. For abnormal consumer exits: the caller answers each dropped
+    /// item (the server replies with a typed shutdown error), and an item
+    /// that owns a reply `Sender` drops it, so producers blocked on the
+    /// matching receiver wake with a disconnect error instead of waiting
+    /// for a batch that will never run.
     pub fn close_and_drain(&self) -> Vec<T> {
         let mut state = self.state.lock().expect("job queue lock");
         state.closed = true;
@@ -128,16 +128,6 @@ pub struct BatchResult {
     pub batch_size: u32,
 }
 
-/// One queued predict request: the prepared program plus the channel its
-/// slice of the batched result goes back on.
-pub struct InferenceJob {
-    /// Cached program, CDFG and features.
-    pub prepared: Arc<PreparedProgram>,
-    /// Where to deliver this program's probability rows. A dropped
-    /// receiver (client gone) is ignored.
-    pub reply: mpsc::Sender<BatchResult>,
-}
-
 /// Reusable staging buffers for the batched forward pass — the
 /// `SampledCsr` discipline: allocate on the first batch, reuse capacity
 /// forever after, so steady-state serving does no per-request graph
@@ -153,21 +143,6 @@ impl BatchWorkspace {
     /// A workspace with empty buffers.
     pub fn new() -> BatchWorkspace {
         BatchWorkspace::default()
-    }
-
-    /// Runs coalesced forward passes over `jobs` and delivers each job its
-    /// own probability rows over its reply channel. Returns the number of
-    /// jobs served. A thin adapter over [`BatchWorkspace::run_prepared`]
-    /// for callers that route results through channels.
-    pub fn run_batch(&mut self, model: &GraphSage, jobs: &[InferenceJob]) -> usize {
-        let prepared: Vec<Arc<PreparedProgram>> = jobs.iter().map(|j| j.prepared.clone()).collect();
-        let results = self.run_prepared(model, &prepared);
-        for (job, result) in jobs.iter().zip(results) {
-            // The client may have hung up while queued; its slot in the
-            // batch is already paid for, so just drop the result.
-            let _ = job.reply.send(result);
-        }
-        jobs.len()
     }
 
     /// Runs coalesced forward passes over `prepared` and returns one
@@ -279,6 +254,8 @@ fn chunk_len_by(sizes: impl Iterator<Item = (u32, u32)>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+
     use glaive_cdfg::CdfgConfig;
     use glaive_gnn::SageConfig;
     use glaive_isa::{AluOp, Asm, Reg};
@@ -315,24 +292,11 @@ mod tests {
             .map(|&(tag, extra)| Arc::new(PreparedProgram::build(program(tag, extra), &config)))
             .collect();
 
-        let mut receivers = Vec::new();
-        let jobs: Vec<InferenceJob> = prepared
-            .iter()
-            .map(|p| {
-                let (tx, rx) = mpsc::channel();
-                receivers.push(rx);
-                InferenceJob {
-                    prepared: p.clone(),
-                    reply: tx,
-                }
-            })
-            .collect();
-
         let mut ws = BatchWorkspace::new();
-        assert_eq!(ws.run_batch(&model, &jobs), 3);
+        let results = ws.run_prepared(&model, &prepared);
+        assert_eq!(results.len(), 3);
 
-        for (p, rx) in prepared.iter().zip(receivers) {
-            let got = rx.recv().expect("batch delivers");
+        for (p, got) in prepared.iter().zip(results) {
             assert_eq!(got.batch_size, 3);
             let serial = model.predict_proba(&p.features, p.cdfg.preds_csr());
             assert_eq!(got.probs.rows(), serial.rows());
@@ -354,14 +318,9 @@ mod tests {
         let p = Arc::new(PreparedProgram::build(program(5, 3), &config));
         let mut ws = BatchWorkspace::new();
         for round in 0..3 {
-            let (tx, rx) = mpsc::channel();
-            let jobs = vec![InferenceJob {
-                prepared: p.clone(),
-                reply: tx,
-            }];
-            ws.run_batch(&model, &jobs);
-            let got = rx.recv().expect("delivered");
-            assert_eq!(got.batch_size, 1, "round {round}");
+            let results = ws.run_prepared(&model, std::slice::from_ref(&p));
+            assert_eq!(results.len(), 1, "round {round}");
+            assert_eq!(results[0].batch_size, 1, "round {round}");
         }
         assert!(ws.feats.capacity() > 0, "staging buffer retained");
     }

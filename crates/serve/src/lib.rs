@@ -51,7 +51,7 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use batch::{BatchResult, BatchWorkspace, InferenceJob, JobQueue};
+pub use batch::{BatchResult, BatchWorkspace, JobQueue};
 pub use cache::{program_fingerprint, GraphCache, PreparedProgram};
 pub use client::{Client, ClientError, ClientReport, ResilientClient};
 pub use protocol::{

@@ -195,7 +195,7 @@ impl<'p, I: Isa> Simulator<'p, I> {
     }
 
     /// Arms a single-bit upset to be injected during [`Simulator::run`].
-    pub fn arm_fault(&mut self, fault: FaultSpec) {
+    pub(crate) fn arm_fault(&mut self, fault: FaultSpec) {
         self.fault = Some(fault);
         self.fault_fired = false;
     }
@@ -213,11 +213,6 @@ impl<'p, I: Isa> Simulator<'p, I> {
     /// Current program counter.
     pub fn pc(&self) -> usize {
         self.state.pc
-    }
-
-    /// Returns `true` once the armed fault has been injected.
-    pub fn fault_fired(&self) -> bool {
-        self.fault_fired
     }
 
     fn flip(&mut self, reg: Reg, bit: u8) {
@@ -541,7 +536,7 @@ mod tests {
         let mut sim = Simulator::try_new(&p, &[], &cfg()).expect("well-formed");
         sim.arm_fault(f);
         let faulty = sim.run();
-        assert!(!sim.fault_fired());
+        assert!(!sim.fault_fired);
         assert_eq!(classify(&golden, &faulty), Outcome::Masked);
     }
 
@@ -601,7 +596,7 @@ mod tests {
         let p = asm.finish().expect("resolves");
         let mut sim = Simulator::try_new(&p, &[], &cfg()).expect("well-formed");
         assert_eq!(sim.pc(), 0);
-        assert!(!sim.fault_fired());
+        assert!(!sim.fault_fired);
         let r = sim.run();
         assert!(r.status.is_clean());
         assert_eq!(sim.regs()[1], 9);

@@ -49,5 +49,5 @@ mod profile;
 mod select;
 
 pub use cost::{CycleModel, InOrderCost, UnitCost};
-pub use profile::{try_profile, PcTiming, TimingObserver, TimingProfile, TIMING_FEATURE_DIM};
+pub use profile::{try_profile, PcTiming, TimingObserver, TimingProfile};
 pub use select::{ProtectionItem, ProtectionSelector, Selection};

@@ -5,20 +5,12 @@ use glaive_sim::{ExecConfig, MachineError, RunResult, StepObserver};
 
 use crate::cost::CycleModel;
 
-/// Number of per-node dynamic timing features derived from a
-/// [`TimingProfile`]: issue fraction, residency fraction, and stall share
-/// (see [`TimingProfile::node_features`]).
-pub const TIMING_FEATURE_DIM: usize = 3;
-
 /// Cycle accounting for one static instruction, accumulated over all of its
 /// dynamic executions in a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PcTiming {
     /// Dynamic executions observed.
     pub executions: u64,
-    /// Issue cycle of the first execution (meaningful when
-    /// `executions > 0`).
-    pub first_issue: u64,
     /// Summed issue-to-completion latency charged by the cost model.
     pub cycles: u64,
     /// Summed cycles this instruction stalled waiting on operands.
@@ -51,50 +43,6 @@ impl TimingProfile {
     /// Total operand-wait cycles across all instructions.
     pub fn total_stalls(&self) -> u64 {
         self.per_pc.iter().map(|t| t.stalls).sum()
-    }
-
-    /// Mean cycles a value defined at `pc` stayed live, or `None` when the
-    /// instruction defined nothing (or never executed).
-    pub fn avg_residency(&self, pc: usize) -> Option<f64> {
-        let t = self.per_pc.get(pc)?;
-        if t.residency_count == 0 {
-            return None;
-        }
-        Some(t.residency_sum as f64 / t.residency_count as f64)
-    }
-
-    /// The [`TIMING_FEATURE_DIM`] dynamic features for one static
-    /// instruction, each normalised into `[0, 1]`:
-    ///
-    /// 1. *issue fraction* — first issue cycle over total cycles (late
-    ///    values have less program left to corrupt),
-    /// 2. *residency fraction* — mean definition residency over total
-    ///    cycles (the AVF intuition: long-lived values are exposed longer),
-    /// 3. *stall share* — this instruction's operand stalls over all
-    ///    stalls in the run (dependence-chain pressure).
-    ///
-    /// Instructions that never executed get all-zero features, as do all
-    /// instructions of a zero-cycle run.
-    pub fn node_features(&self, pc: usize) -> [f32; TIMING_FEATURE_DIM] {
-        let Some(t) = self.per_pc.get(pc) else {
-            return [0.0; TIMING_FEATURE_DIM];
-        };
-        if t.executions == 0 || self.total_cycles == 0 {
-            return [0.0; TIMING_FEATURE_DIM];
-        }
-        let total = self.total_cycles as f64;
-        let issue_frac = t.first_issue as f64 / total;
-        let residency_frac = match self.avg_residency(pc) {
-            Some(r) => r / total,
-            None => 0.0,
-        };
-        let total_stalls = self.total_stalls();
-        let stall_share = if total_stalls == 0 {
-            0.0
-        } else {
-            t.stalls as f64 / total_stalls as f64
-        };
-        [issue_frac as f32, residency_frac as f32, stall_share as f32]
     }
 }
 
@@ -185,9 +133,6 @@ impl<I: Isa, M: CycleModel> StepObserver<I> for TimingObserver<I, M> {
         let issue = self.cursor.max(operands_ready);
         let complete = issue + latency;
         let t = &mut self.per_pc[pc];
-        if t.executions == 0 {
-            t.first_issue = issue;
-        }
         t.executions += 1;
         t.cycles += latency;
         t.stalls += issue - self.cursor;
@@ -302,11 +247,6 @@ mod tests {
         assert_eq!(profile.per_pc[2].residency_count, 1);
         // r1 (pc 0, issue 0) is last read by the add at issue cycle 2.
         assert_eq!(profile.per_pc[0].residency_sum, 2);
-        // A never-executed PC has zero features.
-        assert_eq!(profile.node_features(999), [0.0; TIMING_FEATURE_DIM]);
-        // Executed nodes produce normalised, in-range features.
-        let f = profile.node_features(2);
-        assert!(f.iter().all(|v| (0.0..=1.0).contains(v)), "{f:?}");
     }
 
     #[test]

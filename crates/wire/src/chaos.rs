@@ -277,11 +277,6 @@ pub struct ChaosTransport<S> {
 }
 
 impl<S> ChaosTransport<S> {
-    /// The wrapped stream, by reference.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
     /// Consumes the wrapper, returning the inner stream.
     pub fn into_inner(self) -> S {
         self.inner

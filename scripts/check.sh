@@ -206,6 +206,9 @@ echo "==> benchmark smoke (perf_ledger --workload all --smoke)"
 # check exits non-zero.
 bash perf_ledger/run.sh --workload all --smoke >/dev/null
 
+echo "==> benchmark unit tests (perf_ledger: percentiles, ledger balance, request generator)"
+cargo test -q --release --offline --manifest-path perf_ledger/Cargo.toml
+
 echo "==> data-parallel training determinism smoke (2 threads vs serial, byte-compare)"
 # --no-cache so the second run cannot satisfy itself from the model cache:
 # both models must really be trained, then match byte-for-byte.
