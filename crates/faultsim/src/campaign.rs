@@ -5,7 +5,8 @@ use std::time::Instant;
 
 use glaive_isa::{GlaiveIsa, Isa, Program};
 use glaive_sim::{
-    classify, run, run_with_fault, ExecConfig, ExitStatus, FaultSpec, OperandSlot, Simulator,
+    classify, run_with_fault, ExecConfig, ExitStatus, FaultSpec, GoldenTrace, OperandSlot, Outcome,
+    Simulator,
 };
 
 use crate::checkpoint::CheckpointSink;
@@ -230,10 +231,10 @@ impl<'a> RunControl<'a> {
     }
 }
 
-/// The fully deterministic work order of a campaign: golden reference run,
-/// enumerated fault specs in canonical order, per-fault execution budget,
-/// statically predicted records, and the fingerprint binding GLVCKPT1
-/// checkpoints to this exact campaign.
+/// The fully deterministic work order of a campaign: golden reference run
+/// and its trace, enumerated fault specs in canonical order, per-fault
+/// execution budget, statically predicted records, and the fingerprint
+/// binding GLVCKPT1 checkpoints to this exact campaign.
 ///
 /// Both the in-process executor ([`Campaign::run_supervised`]) and the
 /// distributed fabric (`glaive-campaign`) derive their work from the same
@@ -244,6 +245,10 @@ impl<'a> RunControl<'a> {
 pub struct CampaignPlan {
     /// The fault-free reference run (clean halt guaranteed).
     pub golden: glaive_sim::RunResult,
+    /// Snapshots of the golden run that [`Campaign::inject_span`] replays
+    /// faults from. Derived from the golden run, so it is not part of the
+    /// fingerprint.
+    pub trace: GoldenTrace,
     /// Every fault to inject, in canonical enumeration order.
     pub specs: Vec<FaultSpec>,
     /// Execution budget for each faulty run (hang detection).
@@ -391,14 +396,13 @@ impl<'p, I: Isa> Campaign<'p, I> {
     /// does not halt cleanly.
     pub fn plan(&self) -> Result<CampaignPlan, CampaignError> {
         let name = self.program.name().to_string();
-        let golden_cfg = ExecConfig::default();
-        if let Err(e) = Simulator::try_new(self.program, self.init_mem, &golden_cfg) {
-            return Err(CampaignError::InvalidBenchmark {
-                program: name,
-                message: e.to_string(),
-            });
-        }
-        let golden = run(self.program, self.init_mem, &golden_cfg);
+        let (golden, trace) =
+            GoldenTrace::record(self.program, self.init_mem, &ExecConfig::default()).map_err(
+                |e| CampaignError::InvalidBenchmark {
+                    program: name.clone(),
+                    message: e.to_string(),
+                },
+            )?;
         if !golden.status.is_clean() {
             return Err(CampaignError::DirtyGolden {
                 program: name,
@@ -417,18 +421,7 @@ impl<'p, I: Isa> Campaign<'p, I> {
             let dead = crate::pruning::dead_defs(self.program);
             for (i, spec) in specs.iter().enumerate() {
                 if matches!(spec.slot, OperandSlot::Def(_)) && dead[spec.pc] {
-                    predicted.push((
-                        i,
-                        InjectionRecord {
-                            site: BitSite {
-                                pc: spec.pc,
-                                slot: spec.slot,
-                                bit: spec.bit,
-                            },
-                            instance: spec.instance,
-                            outcome: glaive_sim::Outcome::Masked,
-                        },
-                    ));
+                    predicted.push((i, record(spec, Outcome::Masked)));
                 }
             }
         }
@@ -436,6 +429,7 @@ impl<'p, I: Isa> Campaign<'p, I> {
         let fingerprint = self.fingerprint(specs.len());
         Ok(CampaignPlan {
             golden,
+            trace,
             specs,
             fault_cfg,
             predicted,
@@ -497,16 +491,27 @@ impl<'p, I: Isa> Campaign<'p, I> {
 
     /// Computes the records of the spec span `start..start + known.len()`
     /// of `plan`: an index with a `known` record keeps it, every other one
-    /// is simulated with [`Campaign::inject`]. `before_each` runs before
-    /// every index, told whether that index will be simulated; an `Err`
-    /// from it stops the span and is returned.
+    /// is simulated. `before_each` runs before every index, told whether
+    /// that index will be simulated; an `Err` from it stops the span and is
+    /// returned.
     ///
     /// This is the unit of work of every executor: local threads and
-    /// fabric workers alike compute leased chunks with it.
+    /// fabric workers alike compute leased chunks with it. The span builds
+    /// one machine at its first simulated spec and reuses it for the rest:
+    /// [`GoldenTrace::outcome`] restores it to the plan trace's last
+    /// snapshot before each fault fires and stops a run once its state
+    /// equals golden again. Every record equals what [`Campaign::inject`]
+    /// computes for the same spec.
     ///
     /// # Errors
     ///
     /// The first error `before_each` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input image exceeds the program's declared data
+    /// memory, as [`Campaign::inject`] does; a plan from
+    /// [`Campaign::plan`] has already ruled that out.
     pub fn inject_span<E>(
         &self,
         plan: &CampaignPlan,
@@ -514,20 +519,28 @@ impl<'p, I: Isa> Campaign<'p, I> {
         known: &[Option<InjectionRecord>],
         mut before_each: impl FnMut(bool) -> Result<(), E>,
     ) -> Result<Vec<InjectionRecord>, E> {
+        let mut machine = None;
         known
             .iter()
             .zip(&plan.specs[start..])
             .map(|(known, spec)| {
                 before_each(known.is_none())?;
-                Ok(known.unwrap_or_else(|| self.inject(spec, &plan.golden, &plan.fault_cfg)))
+                if let Some(known) = known {
+                    return Ok(*known);
+                }
+                let sim = machine.get_or_insert_with(|| {
+                    Simulator::try_new(self.program, self.init_mem, &plan.fault_cfg)
+                        .unwrap_or_else(|e| panic!("{e}"))
+                });
+                Ok(record(spec, plan.trace.outcome(sim, spec)))
             })
             .collect()
     }
 
-    /// Simulates one fault injection and classifies it against the golden
-    /// run. This is the distributed fabric's unit of work: a worker calls
-    /// it for each spec of an assigned chunk, with the `golden` and `cfg`
-    /// taken from its locally recomputed [`CampaignPlan`].
+    /// Simulates one fault injection from instruction 0 on a fresh machine,
+    /// runs it to halt, trap or budget, and classifies it against the
+    /// golden run. This is the replay-from-zero reference that
+    /// [`Campaign::inject_span`]'s records are tested against.
     pub fn inject(
         &self,
         spec: &FaultSpec,
@@ -535,15 +548,20 @@ impl<'p, I: Isa> Campaign<'p, I> {
         cfg: &ExecConfig,
     ) -> InjectionRecord {
         let faulty = run_with_fault(self.program, self.init_mem, cfg, spec);
-        InjectionRecord {
-            site: BitSite {
-                pc: spec.pc,
-                slot: spec.slot,
-                bit: spec.bit,
-            },
-            instance: spec.instance,
-            outcome: classify(golden, &faulty),
-        }
+        record(spec, classify(golden, &faulty))
+    }
+}
+
+/// The injection record of `spec` with `outcome`.
+fn record(spec: &FaultSpec, outcome: Outcome) -> InjectionRecord {
+    InjectionRecord {
+        site: BitSite {
+            pc: spec.pc,
+            slot: spec.slot,
+            bit: spec.bit,
+        },
+        instance: spec.instance,
+        outcome,
     }
 }
 
@@ -551,8 +569,9 @@ impl<'p, I: Isa> Campaign<'p, I> {
 mod tests {
     use super::*;
     use crate::checkpoint::CampaignCheckpoint;
+    use glaive_isa::rv::{RvAluOp, RvAsm, RvBranchCond, RvImmOp, RvIsa};
     use glaive_isa::{AluOp, Asm, BranchCond, Reg};
-    use glaive_sim::Outcome;
+    use glaive_sim::run;
 
     fn sum_program() -> Program {
         let mut asm = Asm::new("sum");
@@ -973,5 +992,154 @@ mod tests {
             })
             .expect("resume completes");
         assert_eq!(resumed.to_bytes(), uninterrupted.to_bytes());
+    }
+
+    /// Static PC of the store in [`clobber_a`] and [`clobber_b`].
+    const CLOBBER_STORE: usize = 8;
+
+    /// 99 iterations that store `in[0] + i` to `out[(i - 1) & 3]`, with
+    /// the output array at word 8; then the inputs and outputs are
+    /// printed. Bit 3 of the store's base register moves a store from
+    /// `out[k]` to `in[k]`, and every later iteration and run reads
+    /// `in[0]`.
+    fn clobber_a() -> Program {
+        let mut asm = Asm::new("clobber-a");
+        asm.set_mem_words(16);
+        let (out, i, n, one, addr, x, sum, slot) = (
+            Reg(1),
+            Reg(2),
+            Reg(3),
+            Reg(4),
+            Reg(5),
+            Reg(6),
+            Reg(7),
+            Reg(8),
+        );
+        let zero = Reg(0); // never written
+        asm.li(out, 8);
+        asm.li(i, 1);
+        asm.li(n, 100);
+        asm.li(one, 1);
+        asm.li(addr, 8);
+        let top = asm.label();
+        asm.bind(top);
+        asm.load(x, zero, 0); // 5
+        asm.alu(AluOp::Add, sum, x, i);
+        asm.alu_imm(AluOp::And, slot, i, 3);
+        asm.store(sum, addr, 0); // 8
+        asm.alu(AluOp::Add, addr, out, slot);
+        asm.alu(AluOp::Add, i, i, one);
+        asm.branch(BranchCond::Lt, i, n, top);
+        for k in [0, 1, 8, 9, 10, 11] {
+            asm.load(x, zero, k);
+            asm.out(x);
+        }
+        asm.halt();
+        asm.finish().expect("resolves")
+    }
+
+    /// [`clobber_a`] on ISA-B.
+    fn clobber_b() -> Program<RvIsa> {
+        let mut asm = RvAsm::new("clobber-b");
+        asm.set_mem_words(16);
+        let (out, i, n, x, sum, slot, addr) =
+            (Reg(5), Reg(6), Reg(7), Reg(8), Reg(9), Reg(18), Reg(19));
+        asm.li(out, 8).li(i, 1).li(n, 100).li(addr, 8).li(x, 0);
+        let top = asm.label();
+        asm.bind(top)
+            .ld(x, Reg(0), 0) // 5
+            .alu(RvAluOp::Add, sum, x, i)
+            .alu_imm(RvImmOp::Andi, slot, i, 3)
+            .sd(sum, addr, 0) // 8
+            .alu(RvAluOp::Add, addr, out, slot)
+            .addi(i, i, 1)
+            .branch(RvBranchCond::Blt, i, n, top);
+        for k in [0, 1, 8, 9, 10, 11] {
+            asm.ld(Reg(10), Reg(0), k).ecall();
+        }
+        asm.ebreak();
+        asm.finish().expect("resolves")
+    }
+
+    /// One span over the whole plan, on one reused machine, gives the
+    /// records `inject` gives spec by spec from instruction 0.
+    fn assert_span_matches_inject<I: Isa>(p: &Program<I>) {
+        let init = [5, 7, 11, 13];
+        let c = Campaign::try_new(
+            p,
+            &init,
+            CampaignConfig {
+                bit_stride: 1,
+                ..config()
+            },
+        )
+        .expect("valid config");
+        let plan = c.plan().expect("plans");
+        assert!(plan.trace.snapshots() > 1, "replays start past snapshot 0");
+        let Ok(span) = c.inject_span(&plan, 0, &vec![None; plan.specs.len()], |_| {
+            Ok::<(), Infallible>(())
+        });
+        let reference: Vec<InjectionRecord> = plan
+            .specs
+            .iter()
+            .map(|spec| c.inject(spec, &plan.golden, &plan.fault_cfg))
+            .collect();
+        assert_eq!(span, reference, "{}", p.name());
+        // The program exercises what the test is for: a faulty store lands
+        // in the inputs, and later specs of the span read them.
+        let clobbers = plan.specs.iter().zip(&span).filter(|(spec, rec)| {
+            spec.pc == CLOBBER_STORE
+                && spec.slot == OperandSlot::Use(1)
+                && spec.bit == 3
+                && rec.outcome == Outcome::Sdc
+        });
+        assert_eq!(clobbers.count(), 2, "{}", p.name());
+        assert!(plan.specs.iter().any(|spec| spec.pc > CLOBBER_STORE));
+    }
+
+    #[test]
+    fn span_reuse_matches_replay_from_zero_on_storing_programs() {
+        assert_span_matches_inject(&clobber_a());
+        assert_span_matches_inject(&clobber_b());
+    }
+
+    #[test]
+    fn a_million_instruction_plan_keeps_64_snapshots_and_hangs_at_the_budget() {
+        let mut asm = Asm::new("long-loop");
+        asm.set_mem_words(4);
+        let (i, n, one, slot) = (Reg(1), Reg(2), Reg(3), Reg(4));
+        asm.li(i, 0);
+        asm.li(n, 250_000);
+        asm.li(one, 1);
+        let top = asm.label();
+        asm.bind(top);
+        asm.alu_imm(AluOp::And, slot, i, 3);
+        asm.store(i, slot, 0);
+        asm.alu(AluOp::Add, i, i, one);
+        asm.branch(BranchCond::Lt, i, n, top); // 6
+        asm.out(i);
+        asm.halt();
+        let p = asm.finish().expect("resolves");
+        let c = camp(
+            &p,
+            &[],
+            CampaignConfig {
+                bit_stride: 16,
+                ..config()
+            },
+        );
+        let plan = c.plan().expect("plans");
+        assert_eq!(plan.golden.dyn_instrs, 1_000_005);
+        assert!(plan.trace.snapshots() <= 64);
+        // Bit 48 of the loop bound: the loop would run ~2^48 times.
+        let hang = plan
+            .specs
+            .iter()
+            .position(|s| s.pc == 6 && s.slot == OperandSlot::Use(1) && s.bit == 48)
+            .expect("the bound is a fault site");
+        let Ok(span) = c.inject_span(&plan, hang, &[None], |_| Ok::<(), Infallible>(()));
+        let reference = c.inject(&plan.specs[hang], &plan.golden, &plan.fault_cfg);
+        assert_eq!(span, [reference]);
+        assert_eq!(reference.outcome, Outcome::Crash);
     }
 }

@@ -1,0 +1,61 @@
+//! Whole-suite bit identity of span injection: for every ISA-A benchmark
+//! and every ISA-B kernel, a campaign's GLVFIT01 bytes equal a ground
+//! truth rebuilt spec by spec from `Campaign::inject`, the replay from
+//! instruction 0 on a fresh machine.
+//!
+//! Ignored by default: it simulates the suite twice, which is slow in a
+//! debug build. `scripts/check.sh` runs it in release:
+//!
+//! ```text
+//! cargo test --release --offline -p glaive-faultsim -- --ignored
+//! ```
+
+use glaive_bench_suite::{rv_suite, suite};
+use glaive_faultsim::{Campaign, CampaignConfig, GroundTruth, InjectionRecord};
+use glaive_isa::{Isa, Program};
+
+fn assert_matches_replay<I: Isa>(program: &Program<I>, init_mem: &[u64], hang_factor: u64) {
+    let config = CampaignConfig {
+        bit_stride: 16,
+        instances_per_site: 1,
+        hang_factor,
+        threads: 0,
+        predict_dead_defs: true,
+    };
+    let campaign = Campaign::try_new(program, init_mem, config).expect("valid config");
+    let truth = campaign.run();
+    let plan = campaign.plan().expect("suite programs plan cleanly");
+    let records: Vec<InjectionRecord> = plan
+        .specs
+        .iter()
+        .map(|spec| campaign.inject(spec, &plan.golden, &plan.fault_cfg))
+        .collect();
+    let reference = GroundTruth::from_parts(
+        program.name().to_string(),
+        records,
+        plan.golden,
+        plan.predicted.len(),
+    )
+    .expect("consistent parts");
+    assert_eq!(
+        truth.to_bytes(),
+        reference.to_bytes(),
+        "{}: GLVFIT01 bytes diverged",
+        program.name()
+    );
+}
+
+#[test]
+#[ignore = "simulates the whole suite twice; run in release"]
+fn campaigns_match_replay_from_zero_on_both_suites() {
+    let benches = suite(7);
+    assert_eq!(benches.len(), 12);
+    for bench in &benches {
+        assert_matches_replay(bench.program(), &bench.init_mem, 4);
+    }
+    let kernels = rv_suite(7);
+    assert_eq!(kernels.len(), 4);
+    for kernel in &kernels {
+        assert_matches_replay(&kernel.program, &kernel.init_mem, kernel.hang_factor);
+    }
+}

@@ -143,11 +143,6 @@ impl Instr {
         )
     }
 
-    /// Returns `true` if the instruction may read or write memory.
-    pub fn is_memory(&self) -> bool {
-        matches!(self, Instr::Load { .. } | Instr::Store { .. })
-    }
-
     /// Returns `true` if the instruction can redirect control flow.
     pub fn is_control(&self) -> bool {
         matches!(
@@ -514,12 +509,6 @@ mod tests {
             rs2: Reg(0)
         }
         .is_float());
-        assert!(Instr::Load {
-            rd: Reg(0),
-            base: Reg(0),
-            offset: 0
-        }
-        .is_memory());
         assert!(Instr::Halt.is_control());
         assert_eq!(Instr::Halt.target(), None);
     }

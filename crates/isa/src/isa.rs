@@ -77,6 +77,11 @@ pub struct MemAccess {
 ///
 /// Register-file width and memory size are fixed at construction; backends
 /// interpret the `u64` cells according to their own word width.
+///
+/// Stores go through [`MachineState::store`], which keeps a write log: every
+/// word written since the log was last cleared, once, with the value it held
+/// before. The simulator uses it to revert a run's writes and to diff
+/// memory against a golden run without scanning the whole data memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineState {
     /// Register file, indexed by [`Reg::index`].
@@ -89,6 +94,12 @@ pub struct MachineState {
     /// before each [`Isa::execute`] call so link-register instructions
     /// (e.g. ISA-B `jal`) can materialise the return address.
     pub pc: usize,
+    /// `(address, value before the first logged write)`, in first-write
+    /// order.
+    write_log: Vec<(usize, u64)>,
+    /// One bit per data-memory word, set while the word is in `write_log`;
+    /// grown on the first store.
+    logged: Vec<u64>,
 }
 
 impl MachineState {
@@ -100,7 +111,48 @@ impl MachineState {
             mem,
             output: Vec::new(),
             pc: 0,
+            write_log: Vec::new(),
+            logged: Vec::new(),
         }
+    }
+
+    /// Writes `value` to data-memory word `addr` — the one store path of
+    /// every backend. A word's first write since the log was last cleared
+    /// is logged with its previous value; later writes are not, so the log
+    /// never holds more entries than there are memory words.
+    ///
+    /// # Errors
+    ///
+    /// [`Trap::OutOfBoundsStore`] when `addr` is outside the data memory.
+    pub fn store(&mut self, addr: u64, value: u64) -> Result<(), Trap> {
+        // Large faulty addresses exceed usize on 32-bit hosts too; the
+        // get_mut covers both range checks.
+        let a = addr as usize;
+        let slot = self.mem.get_mut(a).ok_or(Trap::OutOfBoundsStore { addr })?;
+        let before = std::mem::replace(slot, value);
+        if self.logged.is_empty() {
+            self.logged = vec![0; self.mem.len().div_ceil(64)];
+        }
+        let (word, bit) = (a / 64, 1u64 << (a % 64));
+        if self.logged[word] & bit == 0 {
+            self.logged[word] |= bit;
+            self.write_log.push((a, before));
+        }
+        Ok(())
+    }
+
+    /// Every word written since the log was last cleared, with the value
+    /// it held before the first of those writes.
+    pub fn write_log(&self) -> &[(usize, u64)] {
+        &self.write_log
+    }
+
+    /// Empties the write log; memory is left as it is.
+    pub fn clear_write_log(&mut self) {
+        for &(a, _) in &self.write_log {
+            self.logged[a / 64] = 0;
+        }
+        self.write_log.clear();
     }
 }
 
@@ -326,13 +378,7 @@ impl Isa for GlaiveIsa {
             Instr::Store { rs, base, offset } => {
                 let addr = r(&state.regs, base).wrapping_add(offset as u64);
                 let v = r(&state.regs, rs);
-                // Large faulty addresses exceed usize on 32-bit hosts too;
-                // the get_mut covers both range checks.
-                let slot = state
-                    .mem
-                    .get_mut(addr as usize)
-                    .ok_or(Trap::OutOfBoundsStore { addr })?;
-                *slot = v;
+                state.store(addr, v)?;
                 Ok(Step::Next)
             }
             Instr::Branch {
@@ -533,5 +579,22 @@ mod tests {
             GlaiveIsa::execute(&bad_load, &mut state),
             Err(Trap::OutOfBoundsLoad { addr: 42 })
         );
+    }
+
+    #[test]
+    fn write_log_holds_each_word_once_with_its_first_prior_value() {
+        let mut state = MachineState::new(NUM_REGS, vec![7, 0, 0, 0]);
+        for v in 1..=100 {
+            state.store(0, v).unwrap();
+            state.store(3, v).unwrap();
+        }
+        assert_eq!(state.mem, vec![100, 0, 0, 100]);
+        assert_eq!(state.write_log(), &[(0, 7), (3, 0)]);
+        assert_eq!(state.store(4, 1), Err(Trap::OutOfBoundsStore { addr: 4 }));
+        assert_eq!(state.write_log().len(), 2, "a trapped store logs nothing");
+        state.clear_write_log();
+        assert!(state.write_log().is_empty());
+        state.store(0, 5).unwrap();
+        assert_eq!(state.write_log(), &[(0, 100)], "cleared words log again");
     }
 }

@@ -58,7 +58,7 @@ impl AluOp {
     ];
 
     /// Mnemonic used in disassembly.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             AluOp::Add => "add",
             AluOp::Sub => "sub",
@@ -122,7 +122,7 @@ impl FpuOp {
     ];
 
     /// Mnemonic used in disassembly.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             FpuOp::FAdd => "fadd",
             FpuOp::FSub => "fsub",
@@ -159,7 +159,7 @@ impl FpuUnaryOp {
     pub const ALL: [FpuUnaryOp; 3] = [FpuUnaryOp::FNeg, FpuUnaryOp::FAbs, FpuUnaryOp::FSqrt];
 
     /// Mnemonic used in disassembly.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             FpuUnaryOp::FNeg => "fneg",
             FpuUnaryOp::FAbs => "fabs",
@@ -182,7 +182,7 @@ impl CvtOp {
     pub const ALL: [CvtOp; 2] = [CvtOp::IntToFloat, CvtOp::FloatToInt];
 
     /// Mnemonic used in disassembly.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             CvtOp::IntToFloat => "cvt.i2f",
             CvtOp::FloatToInt => "cvt.f2i",
@@ -225,7 +225,7 @@ impl BranchCond {
     ];
 
     /// Mnemonic used in disassembly.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             BranchCond::Eq => "beq",
             BranchCond::Ne => "bne",

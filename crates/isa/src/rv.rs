@@ -374,7 +374,7 @@ impl RvInstr {
     /// encoding: `addi rd, x0, imm` is `li` and `addi rd, rs, 0` is `mv`.
     /// Leaving them on `add` would teach a cross-ISA model that ISA-B is
     /// full of adds whose outcome statistics match constant loads.
-    pub fn canonical_opcode(&self) -> Opcode {
+    pub(crate) fn canonical_opcode(&self) -> Opcode {
         match *self {
             RvInstr::Alu { op, .. } => op.canonical(),
             RvInstr::AluImm {
@@ -694,11 +694,7 @@ impl Isa for RvIsa {
             RvInstr::Sd { rs2, base, offset } => {
                 let addr = rd_reg(&state.regs, base).wrapping_add(i64::from(offset) as u64);
                 let v = rd_reg(&state.regs, rs2);
-                let slot = state
-                    .mem
-                    .get_mut(addr as usize)
-                    .ok_or(Trap::OutOfBoundsStore { addr })?;
-                *slot = v;
+                state.store(addr, v)?;
                 Ok(Step::Next)
             }
             RvInstr::Branch {

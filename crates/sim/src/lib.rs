@@ -14,6 +14,11 @@
 //! * **Crash** — a trap (out-of-bounds access, divide-by-zero, invalid PC) or
 //!   an exceeded instruction budget (hang; see DESIGN.md §3 for the fold).
 //!
+//! [`GoldenTrace`] keeps a golden run as periodic snapshots, so many faults
+//! can be classified on one reused [`Simulator`]: each replays from the last
+//! snapshot before it fires and stops once its state equals golden again,
+//! with the same outcome as [`run_with_fault`] and [`classify`].
+//!
 //! # Example
 //!
 //! ```
@@ -42,12 +47,14 @@
 mod fault;
 mod machine;
 mod outcome;
+mod trace;
 
 pub use fault::{FaultSpec, OperandSlot};
 pub use machine::{
     ExecConfig, ExecConfigError, ExitStatus, MachineError, RunResult, Simulator, StepObserver, Trap,
 };
 pub use outcome::{classify, Outcome};
+pub use trace::GoldenTrace;
 
 use glaive_isa::{Isa, Program};
 

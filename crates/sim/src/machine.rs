@@ -5,6 +5,7 @@ use glaive_isa::{GlaiveIsa, Isa, MachineState, Program, Reg, Step};
 pub use glaive_isa::Trap;
 
 use crate::fault::{FaultSpec, OperandSlot};
+use crate::trace::Shadow;
 
 /// Execution limits for a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,17 +148,20 @@ impl<I: Isa> StepObserver<I> for () {
 /// [`GlaiveIsa`] (ISA-A).
 ///
 /// Most callers use the [`run`](crate::run) / [`run_with_fault`](crate::run_with_fault)
-/// convenience functions; `Simulator` is public for callers that need to
-/// single-step or inspect machine state.
+/// convenience functions; a `Simulator` is built directly to reuse one
+/// machine across many faults with [`GoldenTrace::outcome`](crate::GoldenTrace::outcome).
 #[derive(Debug, Clone)]
 pub struct Simulator<'p, I: Isa = GlaiveIsa> {
     program: &'p Program<I>,
-    state: MachineState,
-    dyn_instrs: u64,
-    exec_counts: Vec<u64>,
-    max_instrs: u64,
-    fault: Option<FaultSpec>,
-    fault_fired: bool,
+    pub(crate) state: MachineState,
+    pub(crate) dyn_instrs: u64,
+    pub(crate) exec_counts: Vec<u64>,
+    pub(crate) max_instrs: u64,
+    pub(crate) fault: Option<FaultSpec>,
+    pub(crate) fault_fired: bool,
+    /// Golden memory for [`GoldenTrace`](crate::GoldenTrace) replay, set
+    /// on the machine's first restore.
+    pub(crate) shadow: Option<Shadow>,
 }
 
 impl<'p, I: Isa> Simulator<'p, I> {
@@ -191,6 +195,7 @@ impl<'p, I: Isa> Simulator<'p, I> {
             max_instrs: cfg.max_instrs,
             fault: None,
             fault_fired: false,
+            shadow: None,
         })
     }
 
@@ -200,27 +205,13 @@ impl<'p, I: Isa> Simulator<'p, I> {
         self.fault_fired = false;
     }
 
-    /// Current register file contents.
-    pub fn regs(&self) -> &[u64] {
-        &self.state.regs
-    }
-
-    /// Current data memory contents.
-    pub fn mem(&self) -> &[u64] {
-        &self.state.mem
-    }
-
-    /// Current program counter.
-    pub fn pc(&self) -> usize {
-        self.state.pc
-    }
-
     fn flip(&mut self, reg: Reg, bit: u8) {
         self.state.regs[reg.index()] ^= 1u64 << (bit as u32 % 64);
     }
 
     /// Executes until halt, trap, or budget exhaustion and returns the
-    /// observable result.
+    /// observable result. The machine keeps its state: a second call
+    /// continues from where the first stopped.
     pub fn run(&mut self) -> RunResult {
         self.run_observed(&mut ())
     }
@@ -231,23 +222,43 @@ impl<'p, I: Isa> Simulator<'p, I> {
     /// an unobserved run (the timing layer's differential tests enforce
     /// this bit-for-bit).
     pub fn run_observed<O: StepObserver<I>>(&mut self, observer: &mut O) -> RunResult {
-        let status = self.run_inner(observer);
+        let status = self.run_to_exit(observer);
+        self.result(status)
+    }
+
+    /// Executes until halt, trap or budget exhaustion.
+    pub(crate) fn run_to_exit<O: StepObserver<I>>(&mut self, observer: &mut O) -> ExitStatus {
+        // Without a pause point, `None` cannot come back.
+        self.run_until(observer, u64::MAX)
+            .unwrap_or(ExitStatus::BudgetExceeded)
+    }
+
+    /// The observable result of a run that stopped with `status`.
+    pub(crate) fn result(&self, status: ExitStatus) -> RunResult {
         RunResult {
             status,
-            output: std::mem::take(&mut self.state.output),
+            output: self.state.output.clone(),
             dyn_instrs: self.dyn_instrs,
-            exec_counts: std::mem::take(&mut self.exec_counts),
+            exec_counts: self.exec_counts.clone(),
         }
     }
 
-    fn run_inner<O: StepObserver<I>>(&mut self, observer: &mut O) -> ExitStatus {
+    /// Executes until halt, trap or budget exhaustion, or until `pause_at`
+    /// instructions have retired, whichever comes first; `None` means the
+    /// run paused and can be continued.
+    pub(crate) fn run_until<O: StepObserver<I>>(
+        &mut self,
+        observer: &mut O,
+        pause_at: u64,
+    ) -> Option<ExitStatus> {
+        let limit = pause_at.min(self.max_instrs);
         loop {
-            if self.dyn_instrs >= self.max_instrs {
-                return ExitStatus::BudgetExceeded;
+            if self.dyn_instrs >= limit {
+                return (self.dyn_instrs >= self.max_instrs).then_some(ExitStatus::BudgetExceeded);
             }
             let pc = self.state.pc;
             let Some(&instr) = self.program.get(pc) else {
-                return ExitStatus::Trapped(Trap::InvalidPc { pc });
+                return Some(ExitStatus::Trapped(Trap::InvalidPc { pc }));
             };
 
             // Fault injection: fire when this PC reaches the armed dynamic
@@ -288,10 +299,10 @@ impl<'p, I: Isa> Simulator<'p, I> {
                     match step {
                         Step::Next => self.state.pc = pc + 1,
                         Step::Goto(t) => self.state.pc = t,
-                        Step::Halt => return ExitStatus::Halted,
+                        Step::Halt => return Some(ExitStatus::Halted),
                     }
                 }
-                Err(trap) => return ExitStatus::Trapped(trap),
+                Err(trap) => return Some(ExitStatus::Trapped(trap)),
             }
         }
     }
@@ -586,7 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn simulator_state_accessors() {
+    fn run_leaves_the_final_state_in_the_machine() {
         let mut asm = Asm::new("acc");
         asm.set_mem_words(2);
         asm.li(Reg(1), 9);
@@ -595,12 +606,24 @@ mod tests {
         asm.halt();
         let p = asm.finish().expect("resolves");
         let mut sim = Simulator::try_new(&p, &[], &cfg()).expect("well-formed");
-        assert_eq!(sim.pc(), 0);
+        assert_eq!(sim.state.pc, 0);
         assert!(!sim.fault_fired);
         let r = sim.run();
         assert!(r.status.is_clean());
-        assert_eq!(sim.regs()[1], 9);
-        assert_eq!(sim.mem()[1], 9);
+        assert_eq!(sim.state.regs[1], 9);
+        assert_eq!(sim.state.mem[1], 9);
+    }
+
+    #[test]
+    fn a_second_run_continues_from_the_halt() {
+        let p = sum_program();
+        let mut sim = Simulator::try_new(&p, &[], &cfg()).expect("well-formed");
+        let first = sim.run();
+        let second = sim.run();
+        // The halt executes once more; nothing else changes.
+        assert_eq!(second.status, ExitStatus::Halted);
+        assert_eq!(second.output, first.output);
+        assert_eq!(second.dyn_instrs, first.dyn_instrs + 1);
     }
 
     #[test]

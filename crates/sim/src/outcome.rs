@@ -55,15 +55,16 @@ pub fn classify(golden: &RunResult, faulty: &RunResult) -> Outcome {
         "golden run must halt cleanly, got {:?}",
         golden.status
     );
-    match faulty.status {
+    classify_exit(&golden.output, faulty.status, &faulty.output)
+}
+
+/// [`classify`] on the parts it reads: the golden output, and how the
+/// faulty run stopped with what output.
+pub(crate) fn classify_exit(golden_output: &[u64], status: ExitStatus, output: &[u64]) -> Outcome {
+    match status {
         ExitStatus::Trapped(_) | ExitStatus::BudgetExceeded => Outcome::Crash,
-        ExitStatus::Halted => {
-            if faulty.output == golden.output {
-                Outcome::Masked
-            } else {
-                Outcome::Sdc
-            }
-        }
+        ExitStatus::Halted if output == golden_output => Outcome::Masked,
+        ExitStatus::Halted => Outcome::Sdc,
     }
 }
 

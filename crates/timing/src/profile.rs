@@ -39,13 +39,6 @@ pub struct TimingProfile {
     pub per_pc: Vec<PcTiming>,
 }
 
-impl TimingProfile {
-    /// Total operand-wait cycles across all instructions.
-    pub fn total_stalls(&self) -> u64 {
-        self.per_pc.iter().map(|t| t.stalls).sum()
-    }
-}
-
 /// An open definition interval: register defined at `def_issue` by `pc`,
 /// last read at `last_touch`.
 #[derive(Debug, Clone, Copy)]
@@ -208,7 +201,7 @@ mod tests {
         assert_eq!(result.output, vec![10]);
         assert_eq!(profile.retired, result.dyn_instrs);
         assert_eq!(profile.total_cycles, result.dyn_instrs);
-        assert_eq!(profile.total_stalls(), 0);
+        assert!(profile.per_pc.iter().all(|t| t.stalls == 0));
     }
 
     #[test]
@@ -231,10 +224,6 @@ mod tests {
         assert!(inorder.total_cycles > unit.total_cycles);
         assert_eq!(inorder.per_pc[2].stalls, 0); // cvt result ready in time
         assert!(inorder.per_pc[3].stalls > 0); // waits on the first fadd
-        assert_eq!(
-            inorder.total_stalls(),
-            inorder.per_pc.iter().map(|t| t.stalls).sum::<u64>()
-        );
     }
 
     #[test]

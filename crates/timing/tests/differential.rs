@@ -109,9 +109,6 @@ fn ground_truth_is_bit_identical_with_timing_on_or_off_isa_a() {
 #[test]
 fn ground_truth_is_bit_identical_with_timing_on_or_off_isa_b() {
     for kernel in rv_suite(7) {
-        if !matches!(kernel.name, "rv_dotprod" | "rv_gcd") {
-            continue;
-        }
         let (plain, timed, profile) = run_both(&kernel.program, &kernel.init_mem, 4);
         assert_eq!(plain, timed, "{}: GLVFIT01 bytes diverged", kernel.name);
         assert!(profile.total_cycles > 0, "{}: empty profile", kernel.name);

@@ -27,6 +27,9 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+echo "==> whole-suite injection bit identity (faultsim ignored tests, release)"
+cargo test --release --offline -p glaive-faultsim -- --ignored
+
 echo "==> quick-mode smoke run (fig5b_speedup)"
 GLAIVE_QUICK=1 cargo run -q --release --offline -p glaive-bench \
   --bin fig5b_speedup >/dev/null
