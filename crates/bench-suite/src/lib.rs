@@ -47,10 +47,7 @@ pub mod data {
     pub mod swaptions;
 }
 
-pub mod rv;
-
 pub use aes::Aes128;
-pub use rv::{rv_suite, RvKernel, RV_PAD_WORDS};
 
 use glaive_lang::CompiledProgram;
 use glaive_sim::ExecConfig;

@@ -11,15 +11,7 @@
 //! slower than MLP-BIT (graph aggregation costs more) and up to an order
 //! slower than RF/SVM, but still ≫ FI (average 221× in the paper).
 
-//! Pass `--json <path>` to additionally write the run's per-stage wall
-//! times (CDFG build, FI campaign, training, inference) as a JSON record;
-//! set `GLAIVE_BASELINE_S` to embed a reference total for comparison.
-
-use std::time::Instant;
-
-use glaive::telemetry::Stage;
 use glaive::Method;
-use glaive_bench::timing::{json_path_arg, StageTimes};
 
 const DATA_ORDER: [&str; 6] = ["blackscholes", "fft", "swaptions", "radix", "ctaes", "lu"];
 const CONTROL_ORDER: [&str; 6] = [
@@ -33,18 +25,15 @@ const CONTROL_ORDER: [&str; 6] = [
 
 fn main() -> std::process::ExitCode {
     glaive_bench::run_experiment(|| {
-        let started = Instant::now();
-        let (eval, config, recorder) = glaive_bench::standard_evaluation_timed()?;
+        let (eval, config) = glaive_bench::standard_evaluation()?;
         println!("# Fig. 5b: speedup over fault injection (log10)");
         println!("label\tbenchmark\tFI_s\tM1_log10\tM2_log10\tM3_log10\tM4_log10");
         let mut glaive_speedups = Vec::new();
-        let mut inference_s = 0.0;
         for (order, tag) in [(DATA_ORDER, 'D'), (CONTROL_ORDER, 'C')] {
             for (i, name) in order.iter().enumerate() {
                 let report = eval.runtime_report(name, &config)?;
                 let sp = report.speedups();
                 glaive_speedups.push(sp[0]);
-                inference_s += report.method_seconds.iter().sum::<f64>();
                 println!(
                     "{tag}{}\t{}\t{:.3}\t{:.2}\t{:.2}\t{:.2}\t{:.2}",
                     i + 1,
@@ -64,26 +53,6 @@ fn main() -> std::process::ExitCode {
             geo.exp(),
             Method::ALL.map(|m| m.name()).join(", ")
         );
-
-        if let Some(path) = json_path_arg(std::env::args()) {
-            let times = StageTimes {
-                cdfg_build_s: recorder.stage_total(Stage::GraphBuild).as_secs_f64(),
-                fi_campaign_s: recorder.stage_total(Stage::Campaign).as_secs_f64(),
-                train_s: recorder.stage_total(Stage::Training).as_secs_f64(),
-                // The pipeline emits no Evaluation-stage spans; the per-method
-                // inference times measured by `runtime_report` are the real
-                // inference cost of this binary.
-                inference_s,
-                total_s: started.elapsed().as_secs_f64(),
-                baseline_total_s: std::env::var("GLAIVE_BASELINE_S")
-                    .ok()
-                    .and_then(|s| s.parse().ok()),
-            };
-            times
-                .write(&path)
-                .map_err(|e| glaive::Error::Cache(format!("writing {path}: {e}")))?;
-            eprintln!("wrote stage timings to {path}");
-        }
 
         Ok(())
     })

@@ -94,8 +94,8 @@ pub fn standard_evaluation() -> Result<(Evaluation, PipelineConfig), Error> {
 }
 
 /// Like [`standard_evaluation`], but also hands back the timing recorder so
-/// callers can export per-stage wall times (e.g. the `--json` mode of
-/// `fig5b_speedup`).
+/// callers can read per-stage wall times (e.g. `kernel_bench`'s training
+/// time).
 pub fn standard_evaluation_timed(
 ) -> Result<(Evaluation, PipelineConfig, Arc<TimingRecorder>), Error> {
     let (pipeline, recorder) = experiment_pipeline()?;

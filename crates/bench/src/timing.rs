@@ -82,80 +82,6 @@ pub fn report(measurements: &[Measurement]) {
     }
 }
 
-/// Parses a `--json <path>` (or `--json=<path>`) flag from `args`.
-/// Returns `None` when the flag is absent; a `--json` with no following
-/// path is treated as absent rather than an error.
-pub fn json_path_arg(args: impl IntoIterator<Item = String>) -> Option<String> {
-    let mut args = args.into_iter();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next();
-        }
-        if let Some(path) = a.strip_prefix("--json=") {
-            return Some(path.to_string());
-        }
-    }
-    None
-}
-
-/// End-to-end per-stage wall times of one experiment run, in seconds —
-/// the machine-readable counterpart of the stderr timing summary.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageTimes {
-    /// Bit-level CDFG construction + label join.
-    pub cdfg_build_s: f64,
-    /// Fault-injection campaigns (the ground-truth baseline).
-    pub fi_campaign_s: f64,
-    /// Model training across all round-robin splits.
-    pub train_s: f64,
-    /// Inference / metric evaluation.
-    pub inference_s: f64,
-    /// Whole-run wall clock (single-threaded stages may sum below this;
-    /// parallel stage totals may exceed it).
-    pub total_s: f64,
-    /// Wall clock of the reference build this run is compared against
-    /// (`None` omits the field).
-    pub baseline_total_s: Option<f64>,
-}
-
-impl StageTimes {
-    /// Renders the record as a JSON object (hand-rolled: the workspace
-    /// builds offline with no serialisation crates).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let mut field = |name: &str, value: f64, last: bool| {
-            out.push_str(&format!(
-                "  \"{name}\": {:.6}{}\n",
-                value,
-                if last { "" } else { "," }
-            ));
-        };
-        field("cdfg_build_s", self.cdfg_build_s, false);
-        field("fi_campaign_s", self.fi_campaign_s, false);
-        field("train_s", self.train_s, false);
-        field("inference_s", self.inference_s, false);
-        match self.baseline_total_s {
-            Some(b) => {
-                field("total_s", self.total_s, false);
-                field("baseline_total_s", b, true);
-            }
-            None => field("total_s", self.total_s, true),
-        }
-        out.push('}');
-        out.push('\n');
-        out
-    }
-
-    /// Writes [`StageTimes::to_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,66 +101,5 @@ mod tests {
         assert_eq!(calls, m.iters + 1);
         assert!(m.iters >= 1 && m.iters <= 5);
         assert!(m.min_s <= m.mean_s);
-    }
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn json_flag_is_parsed_in_both_spellings() {
-        assert_eq!(
-            json_path_arg(args(&["bin", "--json", "out.json", "--quick"])),
-            Some("out.json".to_string())
-        );
-        assert_eq!(
-            json_path_arg(args(&["bin", "--json=b.json"])),
-            Some("b.json".to_string())
-        );
-        assert_eq!(json_path_arg(args(&["bin", "--quick"])), None);
-        assert_eq!(json_path_arg(args(&["bin", "--json"])), None);
-    }
-
-    #[test]
-    fn stage_times_render_as_valid_json() {
-        let t = StageTimes {
-            cdfg_build_s: 0.25,
-            fi_campaign_s: 1.5,
-            train_s: 10.0,
-            inference_s: 0.125,
-            total_s: 12.0,
-            baseline_total_s: None,
-        };
-        let j = t.to_json();
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'), "{j}");
-        assert!(j.contains("\"train_s\": 10.000000"), "{j}");
-        assert!(!j.contains("baseline_total_s"), "{j}");
-        // No trailing comma before the closing brace.
-        assert!(!j.contains(",\n}"), "{j}");
-
-        let with_baseline = StageTimes {
-            baseline_total_s: Some(20.9),
-            ..t
-        }
-        .to_json();
-        assert!(
-            with_baseline.contains("\"baseline_total_s\": 20.900000"),
-            "{with_baseline}"
-        );
-        assert!(!with_baseline.contains(",\n}"), "{with_baseline}");
-    }
-
-    #[test]
-    fn stage_times_write_to_disk() {
-        let path = std::env::temp_dir().join("glaive_stage_times_test.json");
-        let path = path.to_str().expect("utf-8 temp path");
-        let t = StageTimes {
-            total_s: 1.0,
-            ..StageTimes::default()
-        };
-        t.write(path).expect("write");
-        let back = std::fs::read_to_string(path).expect("read");
-        assert_eq!(back, t.to_json());
-        std::fs::remove_file(path).ok();
     }
 }

@@ -36,10 +36,9 @@ impl CdfgConfig {
 /// `slot` of instruction `pc`.
 ///
 /// Nodes carry only the *portable* feature vocabulary (canonical opcode
-/// index, opcode class, register, bit, float flag) rather than any
-/// backend's concrete opcode type — a CDFG built from an ISA-B program is
-/// indistinguishable in shape from an ISA-A one, which is what makes
-/// cross-ISA model transfer possible.
+/// index, opcode class, register, bit, float flag) rather than the
+/// backend's concrete opcode type, so the `Cdfg` type does not depend on
+/// the ISA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitNode {
     /// Static instruction index.

@@ -153,86 +153,6 @@ pub fn program_vulnerability_error(tuples: &[Option<VulnTuple>], data: &BenchDat
     est.abs_error(&fi)
 }
 
-/// Fractional ranks of `scores` under *descending* order, with tied values
-/// receiving their average rank (the standard fractional-ranking treatment
-/// Spearman's ρ expects).
-fn fractional_ranks(scores: &[f64]) -> Vec<f64> {
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-    let mut ranks = vec![0.0; scores.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && scores[order[j + 1]] == scores[order[i]] {
-            j += 1;
-        }
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &idx in &order[i..=j] {
-            ranks[idx] = avg;
-        }
-        i = j + 1;
-    }
-    ranks
-}
-
-/// Spearman rank correlation ρ between two paired score slices (used by
-/// the `cross_isa` experiment, where predicted and FI instruction
-/// vulnerabilities live on different ISAs and no [`BenchData`] exists).
-/// Ties get average ranks; returns 0.0 when either side is constant or
-/// fewer than two pairs are given.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "spearman needs paired scores");
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let rx = fractional_ranks(xs);
-    let ry = fractional_ranks(ys);
-    let n = xs.len() as f64;
-    let mx = rx.iter().sum::<f64>() / n;
-    let my = ry.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (a, b) in rx.iter().zip(&ry) {
-        cov += (a - mx) * (b - my);
-        vx += (a - mx) * (a - mx);
-        vy += (b - my) * (b - my);
-    }
-    if vx == 0.0 || vy == 0.0 {
-        return 0.0;
-    }
-    cov / (vx * vy).sqrt()
-}
-
-/// Top-K overlap `|topK(a) ∩ topK(b)| / k` between the descending-order
-/// rankings induced by two paired score slices (ties broken by index, as
-/// in [`ranking`]). Returns 1.0 for `k = 0`; `k` is clamped to the slice
-/// length.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn top_k_overlap(a: &[f64], b: &[f64], k: usize) -> f64 {
-    assert_eq!(a.len(), b.len(), "top_k_overlap needs paired scores");
-    let k = k.min(a.len());
-    if k == 0 {
-        return 1.0;
-    }
-    let top = |scores: &[f64]| -> Vec<usize> {
-        let mut order: Vec<usize> = (0..scores.len()).collect();
-        order.sort_by(|&x, &y| scores[y].total_cmp(&scores[x]).then(x.cmp(&y)));
-        order.truncate(k);
-        order
-    };
-    let sa: std::collections::HashSet<usize> = top(a).into_iter().collect();
-    let hits = top(b).into_iter().filter(|i| sa.contains(i)).count();
-    hits as f64 / k as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,36 +258,5 @@ mod tests {
         let d = data();
         let pv = program_vulnerability(&d.fi_tuples, &d);
         assert!((pv.crash + pv.sdc + pv.masked - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn spearman_detects_perfect_and_inverse_correlation() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let inc = [10.0, 20.0, 30.0, 40.0, 50.0];
-        let dec = [5.0, 4.0, 3.0, 2.0, 1.0];
-        assert!((spearman(&xs, &inc) - 1.0).abs() < 1e-12);
-        assert!((spearman(&xs, &dec) + 1.0).abs() < 1e-12);
-        assert_eq!(spearman(&xs, &[7.0; 5]), 0.0, "constant side is 0");
-        assert_eq!(spearman(&[1.0], &[2.0]), 0.0, "degenerate length");
-    }
-
-    #[test]
-    fn spearman_averages_tied_ranks() {
-        // xs has a two-way tie; the monotone ys must still give rho = 1
-        // only when the tie is respected symmetrically.
-        let xs = [1.0, 2.0, 2.0, 3.0];
-        let ys = [1.0, 2.5, 2.5, 4.0];
-        assert!((spearman(&xs, &ys) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn top_k_overlap_counts_shared_leaders() {
-        let a = [0.9, 0.1, 0.8, 0.2];
-        let b = [0.9, 0.8, 0.1, 0.2];
-        // top-2(a) = {0, 2}, top-2(b) = {0, 1} → one shared.
-        assert!((top_k_overlap(&a, &b, 2) - 0.5).abs() < 1e-12);
-        assert_eq!(top_k_overlap(&a, &a, 2), 1.0);
-        assert_eq!(top_k_overlap(&a, &b, 0), 1.0, "empty set is covered");
-        assert_eq!(top_k_overlap(&a, &b, 100), 1.0, "k clamps to length");
     }
 }

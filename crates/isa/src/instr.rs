@@ -334,13 +334,6 @@ pub enum DecodeError {
     BadSubOpcode(u8),
     /// Register index outside `0..NUM_REGS`.
     BadRegister(u8),
-    /// Byte buffer is not exactly the backend's encoding length.
-    Truncated {
-        /// Provided buffer length.
-        len: usize,
-        /// Required encoding length.
-        want: usize,
-    },
     /// An immediate field holds a value invalid for its instruction (e.g. a
     /// negative branch target).
     BadImmediate(i64),
@@ -352,9 +345,6 @@ impl fmt::Display for DecodeError {
             DecodeError::BadTag(t) => write!(f, "unknown instruction tag {t}"),
             DecodeError::BadSubOpcode(s) => write!(f, "unknown sub-opcode {s}"),
             DecodeError::BadRegister(r) => write!(f, "register index {r} out of range"),
-            DecodeError::Truncated { len, want } => {
-                write!(f, "encoded instruction is {len} bytes, want {want}")
-            }
             DecodeError::BadImmediate(imm) => {
                 write!(f, "immediate {imm} is invalid for this instruction")
             }

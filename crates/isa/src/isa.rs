@@ -5,34 +5,23 @@
 //! describe the machine (word size, register-file shape, instruction type)
 //! and whose methods give per-instruction semantics (operand lists, control
 //! flow, memory aliasing, execution). `glaive-sim`, `glaive-faultsim` and
-//! `glaive-cdfg` are generic over it; [`GlaiveIsa`] is the first backend
-//! (the original concrete ISA of this workspace) and [`crate::rv::RvIsa`]
-//! is a RISC-V-like second backend used for cross-ISA transfer experiments.
+//! `glaive-cdfg` are generic over it; [`GlaiveIsa`] is its one
+//! implementation.
 //!
-//! # What may vary between backends
-//!
-//! Instruction type, encoding format and length, opcode table, branch
-//! semantics, trap conditions — anything behind the trait methods.
-//!
-//! # What must NOT vary
-//!
-//! The *portable feature vocabulary* (see DESIGN.md §13): every backend
-//! maps its opcodes into the canonical opcode index space of
+//! A backend maps its opcodes into the canonical opcode index space of
 //! [`Opcode::index`](crate::Opcode::index) (`opcode_index` must be
 //! `< Opcode::COUNT`), uses at most [`NUM_REGS`](crate::NUM_REGS)
-//! registers and at most [`WORD_BITS`](crate::WORD_BITS)-bit words. That is
-//! what lets a GNN trained on one backend's CDFGs score another backend's
-//! programs without reshaping its input layer.
+//! registers and at most [`WORD_BITS`](crate::WORD_BITS)-bit words: the
+//! CDFG feature layout is sized by those constants (DESIGN.md §13).
 
 use std::fmt;
 
-use crate::instr::{DecodeError, Instr, INSTR_ENCODING_LEN};
+use crate::instr::Instr;
 use crate::opcode::{AluOp, CvtOp, FpuOp, FpuUnaryOp, OpcodeClass};
 use crate::reg::{Reg, NUM_REGS, WORD_BITS};
 
-/// The original concrete ISA of this workspace — "ISA-A" in cross-ISA
-/// experiments. A zero-sized backend marker; its instruction type is
-/// [`Instr`] and its semantics are exactly the pre-trait simulator's.
+/// The instruction set of this workspace. A zero-sized backend marker; its
+/// instruction type is [`Instr`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GlaiveIsa;
 
@@ -67,16 +56,15 @@ impl Flow {
 pub struct MemAccess {
     /// `true` for stores, `false` for loads.
     pub is_store: bool,
-    /// Static alias class — for both current backends, the constant
-    /// address offset.
+    /// Static alias class: the constant address offset.
     pub alias: i64,
 }
 
 /// The architectural state an instruction executes against: a flat register
 /// file, a flat word-addressed data memory, and the output buffer.
 ///
-/// Register-file width and memory size are fixed at construction; backends
-/// interpret the `u64` cells according to their own word width.
+/// Register-file width and memory size are fixed at construction; the
+/// backend interprets the `u64` cells according to its word width.
 ///
 /// Stores go through [`MachineState::store`], which keeps a write log: every
 /// word written since the log was last cleared, once, with the value it held
@@ -90,9 +78,8 @@ pub struct MachineState {
     pub mem: Vec<u64>,
     /// Values emitted by output instructions, in order.
     pub output: Vec<u64>,
-    /// Static PC of the instruction being executed — set by the simulator
-    /// before each [`Isa::execute`] call so link-register instructions
-    /// (e.g. ISA-B `jal`) can materialise the return address.
+    /// Program counter: the static index of the next instruction to
+    /// execute. The simulator advances it after each [`Isa::execute`].
     pub pc: usize,
     /// `(address, value before the first logged write)`, in first-write
     /// order.
@@ -117,7 +104,7 @@ impl MachineState {
     }
 
     /// Writes `value` to data-memory word `addr` — the one store path of
-    /// every backend. A word's first write since the log was last cleared
+    /// the machine. A word's first write since the log was last cleared
     /// is logged with its previous value; later writes are not, so the log
     /// never holds more entries than there are memory words.
     ///
@@ -204,23 +191,18 @@ impl fmt::Display for Trap {
 /// An instruction-set backend: the associated items describe the machine,
 /// the methods give per-instruction semantics.
 ///
-/// Implementors are zero-sized markers ([`GlaiveIsa`], [`crate::rv::RvIsa`]);
-/// every generic structure in the workspace defaults its ISA parameter to
-/// [`GlaiveIsa`], so existing ISA-A call sites compile — and behave —
-/// exactly as before the abstraction existed.
+/// Implementors are zero-sized markers; [`GlaiveIsa`] is the one
+/// implementation, and every generic structure in the workspace defaults
+/// its ISA parameter to it.
 pub trait Isa: Copy + Clone + fmt::Debug + PartialEq + Eq + Send + Sync + 'static {
     /// The instruction type of this backend.
     type Instr: Copy + fmt::Debug + fmt::Display + PartialEq + Send + Sync + 'static;
 
-    /// Human-readable backend name (used in experiment reports).
-    const NAME: &'static str;
     /// Width in bits of an architectural register (≤ canonical
     /// [`WORD_BITS`]).
     const WORD_BITS: usize;
     /// Number of architectural registers (≤ canonical [`NUM_REGS`]).
     const NUM_REGS: usize;
-    /// Length in bytes of one encoded instruction.
-    const INSTR_ENCODING_LEN: usize;
 
     /// Registers written by the instruction (destination operands).
     fn defs(instr: &Self::Instr) -> Vec<Reg>;
@@ -228,8 +210,8 @@ pub trait Isa: Copy + Clone + fmt::Debug + PartialEq + Eq + Send + Sync + 'stati
     /// order; a register in two source slots is listed twice.
     fn uses(instr: &Self::Instr) -> Vec<Reg>;
     /// Index into the canonical opcode vocabulary
-    /// (`< `[`Opcode::COUNT`](crate::Opcode::COUNT)): backends map their
-    /// own opcode tables onto the shared one-hot feature space.
+    /// (`< `[`Opcode::COUNT`](crate::Opcode::COUNT)), the one-hot feature
+    /// space of the CDFG.
     fn opcode_index(instr: &Self::Instr) -> usize;
     /// The instruction's coarse class in the shared Table-I taxonomy.
     fn opcode_class(instr: &Self::Instr) -> OpcodeClass;
@@ -239,16 +221,8 @@ pub trait Isa: Copy + Clone + fmt::Debug + PartialEq + Eq + Send + Sync + 'stati
     fn flow(instr: &Self::Instr) -> Flow;
     /// Static memory behaviour, for the `D_M` dependence analysis.
     fn mem_access(instr: &Self::Instr) -> Option<MemAccess>;
-    /// Fixed-width binary encoding (`INSTR_ENCODING_LEN` bytes); feeds
-    /// campaign fingerprints and wire formats.
+    /// Fixed-width binary encoding; feeds campaign fingerprints.
     fn encode(instr: &Self::Instr) -> Vec<u8>;
-    /// Decodes an instruction previously produced by [`Isa::encode`].
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] for truncated buffers, unknown tags/sub-opcodes, or
-    /// out-of-range register indices. Must never panic on any byte pattern.
-    fn decode(bytes: &[u8]) -> Result<Self::Instr, DecodeError>;
     /// Executes one instruction against the machine state.
     ///
     /// # Errors
@@ -260,10 +234,8 @@ pub trait Isa: Copy + Clone + fmt::Debug + PartialEq + Eq + Send + Sync + 'stati
 impl Isa for GlaiveIsa {
     type Instr = Instr;
 
-    const NAME: &'static str = "glaive";
     const WORD_BITS: usize = WORD_BITS;
     const NUM_REGS: usize = NUM_REGS;
-    const INSTR_ENCODING_LEN: usize = INSTR_ENCODING_LEN;
 
     fn defs(instr: &Instr) -> Vec<Reg> {
         instr.defs()
@@ -310,15 +282,6 @@ impl Isa for GlaiveIsa {
 
     fn encode(instr: &Instr) -> Vec<u8> {
         instr.encode().to_vec()
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Instr, DecodeError> {
-        let buf: &[u8; INSTR_ENCODING_LEN] =
-            bytes.try_into().map_err(|_| DecodeError::Truncated {
-                len: bytes.len(),
-                want: INSTR_ENCODING_LEN,
-            })?;
-        Instr::decode(buf)
     }
 
     fn execute(instr: &Instr, state: &mut MachineState) -> Result<Step, Trap> {
@@ -548,11 +511,6 @@ mod tests {
             imm: -17,
         };
         assert_eq!(GlaiveIsa::encode(&i), i.encode().to_vec());
-        assert_eq!(GlaiveIsa::decode(&GlaiveIsa::encode(&i)).unwrap(), i);
-        assert!(matches!(
-            GlaiveIsa::decode(&[0u8; 3]),
-            Err(DecodeError::Truncated { len: 3, want: 16 })
-        ));
     }
 
     #[test]

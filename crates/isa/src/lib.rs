@@ -38,7 +38,6 @@ mod isa;
 mod opcode;
 mod program;
 mod reg;
-pub mod rv;
 mod slot;
 
 pub use asm::{Asm, AsmError, Label};
@@ -47,7 +46,4 @@ pub use isa::{Flow, GlaiveIsa, Isa, MachineState, MemAccess, Step, Trap};
 pub use opcode::{AluOp, BranchCond, CvtOp, FpuOp, FpuUnaryOp, Opcode, OpcodeClass};
 pub use program::{Program, ProgramError};
 pub use reg::{Reg, NUM_REGS, WORD_BITS};
-pub use rv::{
-    RvAluOp, RvAsm, RvBranchCond, RvImmOp, RvInstr, RvIsa, RvLabel, RV_INSTR_ENCODING_LEN,
-};
 pub use slot::OperandSlot;

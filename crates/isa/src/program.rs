@@ -5,8 +5,8 @@ use crate::isa::{GlaiveIsa, Isa};
 /// A complete machine program: a named, fixed sequence of instructions plus
 /// the size of the flat data memory it executes against.
 ///
-/// Generic over the instruction-set backend `I`; the default is
-/// [`GlaiveIsa`] (ISA-A), so pre-trait call sites keep compiling unchanged.
+/// Generic over the instruction-set backend `I`, which defaults to
+/// [`GlaiveIsa`].
 /// Instruction indices double as "static PC" values (the auxiliary feature of
 /// Table I in the paper); branch/jump targets are instruction indices.
 ///

@@ -105,6 +105,34 @@ fn encode_decode_roundtrip() {
     }
 }
 
+/// Flipping any single bit of any encoding must yield either a typed decode
+/// error or another well-formed instruction — never a panic, and never an
+/// instruction whose own encoding fails to round-trip.
+#[test]
+fn every_single_bit_flip_is_handled() {
+    let mut rng = Rng(7);
+    let (mut accepted, mut rejected) = (0u64, 0u64);
+    for _ in 0..CASES {
+        let bytes = rng.instr().encode();
+        for bit in 0..bytes.len() * 8 {
+            let mut evil = bytes;
+            evil[bit / 8] ^= 1 << (bit % 8);
+            match Instr::decode(&evil) {
+                Ok(mutant) => {
+                    accepted += 1;
+                    assert_eq!(
+                        Instr::decode(&mutant.encode()),
+                        Ok(mutant),
+                        "accepted mutant is not an encode/decode fixed point"
+                    );
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+    }
+    assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
+}
+
 /// Every operand reported by defs()/uses() is a valid register, and
 /// operands() is exactly uses() followed by defs().
 #[test]

@@ -145,7 +145,7 @@ impl<I: Isa> StepObserver<I> for () {
 
 /// An interpreter for one program execution, optionally with a single armed
 /// fault. Generic over the instruction-set backend; defaults to
-/// [`GlaiveIsa`] (ISA-A).
+/// [`GlaiveIsa`].
 ///
 /// Most callers use the [`run`](crate::run) / [`run_with_fault`](crate::run_with_fault)
 /// convenience functions; a `Simulator` is built directly to reuse one
@@ -312,7 +312,6 @@ impl<'p, I: Isa> Simulator<'p, I> {
 mod tests {
     use super::*;
     use crate::{classify, run, run_with_fault, try_run, Outcome};
-    use glaive_isa::rv::{RvAsm, RvBranchCond};
     use glaive_isa::{AluOp, Asm, BranchCond, CvtOp};
 
     fn cfg() -> ExecConfig {
@@ -697,50 +696,5 @@ mod tests {
             crate::try_run_with_fault_observed(&p, &[], &cfg(), &f, &mut log).expect("well-formed");
         assert_eq!(observed, plain);
         assert_eq!(log.n, plain.dyn_instrs);
-    }
-
-    /// The same driver (run, fault injection, classification) works on the
-    /// ISA-B backend through the `Isa` trait.
-    #[test]
-    fn rv_backend_runs_and_injects_faults() {
-        let mut asm = RvAsm::new("rv-sum");
-        let (acc, i, lim) = (Reg(5), Reg(6), Reg(7));
-        asm.li(acc, 0);
-        asm.li(i, 1);
-        asm.li(lim, 10);
-        let top = asm.label();
-        asm.bind(top);
-        asm.alu(glaive_isa::rv::RvAluOp::Add, acc, acc, i);
-        asm.addi(i, i, 1);
-        asm.branch(RvBranchCond::Bge, lim, i, top);
-        asm.mv(Reg(10), acc);
-        asm.ecall();
-        asm.ebreak();
-        let p = asm.finish().expect("resolves");
-        let golden = run(&p, &[], &cfg());
-        assert_eq!(golden.status, ExitStatus::Halted);
-        assert_eq!(golden.output, vec![55]);
-
-        // Corrupt the accumulator input of the add at its final iteration:
-        // SDC, exactly like the ISA-A twin of this test.
-        let f = FaultSpec {
-            pc: 3,
-            slot: OperandSlot::Use(0),
-            bit: 3,
-            instance: 9,
-        };
-        let faulty = run_with_fault(&p, &[], &cfg(), &f);
-        assert_eq!(classify(&golden, &faulty), Outcome::Sdc);
-
-        // A fault aimed at x0 (use 0 of `li acc` = addi acc, x0, 0) is
-        // architecturally masked: the hardwired zero reads as zero anyway.
-        let fx0 = FaultSpec {
-            pc: 0,
-            slot: OperandSlot::Use(0),
-            bit: 17,
-            instance: 0,
-        };
-        let masked = run_with_fault(&p, &[], &cfg(), &fx0);
-        assert_eq!(classify(&golden, &masked), Outcome::Masked);
     }
 }

@@ -302,7 +302,6 @@ impl GoldenTrace {
 mod tests {
     use super::*;
     use crate::{classify, run, run_with_fault, OperandSlot};
-    use glaive_isa::rv::{RvAluOp, RvAsm, RvBranchCond, RvImmOp};
     use glaive_isa::{AluOp, Asm, BranchCond, Reg};
 
     /// `n` iterations of: read the input word, add the counter, store the
@@ -400,29 +399,6 @@ mod tests {
         asm.branch(BranchCond::Lt, i, lim, top);
         asm.halt();
         assert_matches_replay(&asm.finish().expect("resolves"), &[]);
-    }
-
-    #[test]
-    fn reused_machine_matches_replay_from_zero_on_isa_b() {
-        let mut asm = RvAsm::new("rv-storing-loop");
-        asm.set_mem_words(16);
-        let (i, lim, inp, sum, slot) = (Reg(5), Reg(6), Reg(7), Reg(8), Reg(9));
-        asm.li(i, 0).li(lim, 300);
-        let top = asm.label();
-        asm.bind(top)
-            .ld(inp, Reg(0), 0)
-            .alu(RvAluOp::Add, sum, inp, i)
-            .alu_imm(RvImmOp::Andi, slot, i, 3)
-            .sd(sum, slot, 8)
-            .addi(i, i, 1)
-            .branch(RvBranchCond::Blt, i, lim, top);
-        for k in [0, 8, 9, 10, 11] {
-            asm.ld(Reg(10), Reg(0), k).ecall();
-        }
-        asm.ebreak();
-        let p = asm.finish().expect("resolves");
-        let early = assert_matches_replay(&p, &[11]);
-        assert!(early > 0, "some faults must re-converge before the halt");
     }
 
     #[test]

@@ -1,8 +1,7 @@
 use glaive_isa::{MemAccess, OpcodeClass};
 
 /// A per-instruction cycle-cost model, keyed off the ISA-neutral
-/// [`OpcodeClass`] so one model prices both backends (ISA-A and ISA-B)
-/// identically.
+/// [`OpcodeClass`].
 ///
 /// Models are *pure*: the cost of an instruction depends only on its class
 /// and static memory behaviour, never on machine state, so any two runs of

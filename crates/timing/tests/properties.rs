@@ -1,5 +1,5 @@
 //! Property tests for the cycle-cost layer, over randomly generated
-//! straight-line programs on both instruction-set backends:
+//! straight-line programs:
 //!
 //! * **Monotonicity** — appending instructions to a program never decreases
 //!   its total cycle count, for every shipped [`CycleModel`].
@@ -8,7 +8,6 @@
 //!
 //! The generator is a fixed-seed LCG, so failures replay deterministically.
 
-use glaive_isa::rv::{RvAluOp, RvAsm};
 use glaive_isa::{AluOp, Asm, Isa, Program, Reg};
 use glaive_sim::ExecConfig;
 use glaive_timing::{try_profile, CycleModel, InOrderCost, UnitCost};
@@ -29,7 +28,7 @@ impl Rng {
     }
 }
 
-/// One abstract straight-line operation, realisable on either backend.
+/// One abstract straight-line operation.
 /// Trap-free by construction: no division, no memory, no control flow.
 #[derive(Clone, Copy)]
 enum Op {
@@ -40,8 +39,6 @@ enum Op {
 }
 
 fn random_ops(rng: &mut Rng, len: usize) -> Vec<Op> {
-    // Registers 1..=7 are valid and writable on both backends (x0 would be
-    // a hardwired-zero special case on ISA-B).
     let reg = |rng: &mut Rng| (1 + rng.below(7)) as u8;
     (0..len)
         .map(|_| match rng.below(4) {
@@ -100,39 +97,6 @@ fn isa_a_program(ops: &[Op], k: usize) -> Program {
     asm.finish().expect("straight-line code resolves")
 }
 
-/// Realises `ops[..k]` + ebreak as an ISA-B program.
-fn isa_b_program(ops: &[Op], k: usize) -> Program<glaive_isa::rv::RvIsa> {
-    const ALU: [RvAluOp; 6] = [
-        RvAluOp::Add,
-        RvAluOp::Sub,
-        RvAluOp::Mul,
-        RvAluOp::And,
-        RvAluOp::Or,
-        RvAluOp::Xor,
-    ];
-    let mut asm = RvAsm::new("prop-b");
-    for op in &ops[..k] {
-        match *op {
-            Op::Li { rd, imm } => {
-                asm.li(Reg(rd), i32::from(imm));
-            }
-            Op::Alu { kind, rd, rs1, rs2 } => {
-                asm.alu(ALU[kind as usize], Reg(rd), Reg(rs1), Reg(rs2));
-            }
-            Op::Mov { rd, rs } => {
-                asm.mv(Reg(rd), Reg(rs));
-            }
-            Op::Out { rs } => {
-                // ISA-B emits via the a0/ecall convention.
-                asm.mv(Reg(10), Reg(rs));
-                asm.ecall();
-            }
-        }
-    }
-    asm.ebreak();
-    asm.finish().expect("straight-line code resolves")
-}
-
 fn check_monotone_and_unit_identity<I: Isa>(programs: &[Program<I>], label: &str) {
     let cfg = ExecConfig::default();
     let models: [&dyn CycleModel; 2] = [&UnitCost, &InOrderCost::default()];
@@ -177,18 +141,5 @@ fn costs_are_monotone_and_unit_cost_counts_retirements_isa_a() {
             .map(|k| isa_a_program(&ops, k))
             .collect();
         check_monotone_and_unit_identity(&programs, "ISA-A");
-    }
-}
-
-#[test]
-fn costs_are_monotone_and_unit_cost_counts_retirements_isa_b() {
-    let mut rng = Rng(0x005E_ED0B);
-    for _ in 0..8 {
-        let ops = random_ops(&mut rng, 40);
-        let programs: Vec<Program<glaive_isa::rv::RvIsa>> = (0..=ops.len())
-            .step_by(5)
-            .map(|k| isa_b_program(&ops, k))
-            .collect();
-        check_monotone_and_unit_identity(&programs, "ISA-B");
     }
 }
