@@ -1,45 +1,10 @@
-//! Fig. 2 — vulnerability distributions of the benchmarks: fraction of
-//! instructions whose sampled bits are all-Masked / all-SDC / all-Crash
-//! versus *mixed*, per benchmark.
-//!
-//! Paper shape: a substantial fraction of instructions (up to 87.8%, on
-//! average 51.88% in the paper) has mixed bit-level outcomes, motivating
-//! bit-level features.
+//! Fig. 2 — vulnerability distributions per benchmark; see
+//! [`glaive_bench::paper::fig2`].
 
 fn main() -> std::process::ExitCode {
     glaive_bench::run_experiment(|| {
         let (suite, config) = glaive_bench::standard_suite()?;
-        println!(
-            "# Fig. 2: vulnerability distributions (bit stride {})",
-            config.bit_stride
-        );
-        println!("benchmark\tcategory\tinstructions\tpure_masked\tpure_sdc\tpure_crash\tmixed");
-        let mut mixed_sum = 0.0;
-        let mut mixed_max: (f64, &str) = (0.0, "");
-        for d in &suite {
-            let v = glaive::stats::vulnerability_distribution(d);
-            println!(
-                "{}\t{}\t{}\t{:.4}\t{:.4}\t{:.4}\t{:.4}",
-                d.bench.name,
-                d.bench.category.tag(),
-                v.instructions,
-                v.pure_masked,
-                v.pure_sdc,
-                v.pure_crash,
-                v.mixed
-            );
-            mixed_sum += v.mixed;
-            if v.mixed > mixed_max.0 {
-                mixed_max = (v.mixed, d.bench.name);
-            }
-        }
-        println!(
-            "# average mixed fraction: {:.4} (paper: 0.5188); max: {:.4} on {} (paper: 0.878)",
-            mixed_sum / suite.len() as f64,
-            mixed_max.0,
-            mixed_max.1
-        );
-
+        glaive_bench::paper::fig2(&suite, &config);
         Ok(())
     })
 }

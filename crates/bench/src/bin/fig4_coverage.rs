@@ -1,78 +1,10 @@
-//! Fig. 4 — top-K coverage for varying protection budget K (5%..100% in
-//! steps of 5) for all four methods:
-//!
-//! * (a) Radix (data-sensitive),
-//! * (b) Swaptions (data-sensitive),
-//! * (c) average over the control-sensitive benchmarks,
-//!
-//! plus the full per-benchmark curves.
-//!
-//! Paper shape: bit-level methods (GLAIVE, MLP-BIT) dominate
-//! instruction-level regressors below K ≈ 70%; GLAIVE averages ~90% top-K
-//! coverage in the paper's testbed.
-
-use glaive::experiments::{paper_budgets, CoverageCurve};
-use glaive::Method;
-use glaive_bench_suite::Category;
-
-fn print_series(title: &str, curves: &[&CoverageCurve], ks: &[f64]) {
-    println!("## {title}");
-    print!("K%");
-    for m in Method::ALL {
-        print!("\t{}", m.name());
-    }
-    println!();
-    for (i, &k) in ks.iter().enumerate() {
-        print!("{k}");
-        for m in Method::ALL {
-            // Average over the selected curves for this method.
-            let sel: Vec<f64> = curves
-                .iter()
-                .filter(|c| c.method == m)
-                .map(|c| c.points[i].1)
-                .collect();
-            let avg = sel.iter().sum::<f64>() / sel.len() as f64;
-            print!("\t{avg:.3}");
-        }
-        println!();
-    }
-}
+//! Fig. 4 — top-K coverage vs protection budget; see
+//! [`glaive_bench::paper::fig4`].
 
 fn main() -> std::process::ExitCode {
     glaive_bench::run_experiment(|| {
         let (eval, _) = glaive_bench::standard_evaluation()?;
-        let ks = paper_budgets();
-        let curves = eval.coverage_curves(&ks);
-
-        println!("# Fig. 4: top-K coverage vs protection budget");
-        let radix: Vec<&CoverageCurve> = curves.iter().filter(|c| c.benchmark == "radix").collect();
-        print_series("(a) Radix", &radix, &ks);
-        let swaptions: Vec<&CoverageCurve> = curves
-            .iter()
-            .filter(|c| c.benchmark == "swaptions")
-            .collect();
-        print_series("(b) Swaptions", &swaptions, &ks);
-        let control: Vec<&CoverageCurve> = curves
-            .iter()
-            .filter(|c| c.category == Category::Control)
-            .collect();
-        print_series("(c) Control-sensitive average", &control, &ks);
-
-        println!("## Mean coverage over all budgets and benchmarks");
-        for m in Method::ALL {
-            let sel: Vec<f64> = curves
-                .iter()
-                .filter(|c| c.method == m)
-                .map(CoverageCurve::mean_coverage)
-                .collect();
-            println!(
-                "{}\t{:.4}",
-                m.name(),
-                sel.iter().sum::<f64>() / sel.len() as f64
-            );
-        }
-        println!("# paper: GLAIVE averages 90.23% coverage, up to 21.3%/23.18% above RF/SVM");
-
+        glaive_bench::paper::fig4(&eval);
         Ok(())
     })
 }

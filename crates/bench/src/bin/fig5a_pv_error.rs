@@ -1,68 +1,10 @@
-//! Fig. 5a — program vulnerability error (Σ per-class |estimate − FI|) per
-//! benchmark × method, with the paper's D1..D6 / C1..C6 labelling.
-//!
-//! Paper shape: on data-sensitive benchmarks GLAIVE averages 26.24%,
-//! 33.09% and 16.78% lower error than RF-INST, SVM-INST and MLP-BIT; on
-//! control-sensitive benchmarks the methods are close (GLAIVE within ~1%
-//! of MLP-BIT).
-
-use glaive::Method;
-use glaive_bench_suite::Category;
-
-/// The paper's row labels, in Fig. 5 order.
-const DATA_ORDER: [&str; 6] = ["blackscholes", "fft", "swaptions", "radix", "ctaes", "lu"];
-const CONTROL_ORDER: [&str; 6] = [
-    "dijkstra",
-    "streamcluster",
-    "jmeint",
-    "astar",
-    "sobel",
-    "inversek2j",
-];
+//! Fig. 5a — program vulnerability error per benchmark and method; see
+//! [`glaive_bench::paper::fig5a`].
 
 fn main() -> std::process::ExitCode {
     glaive_bench::run_experiment(|| {
         let (eval, _) = glaive_bench::standard_evaluation()?;
-        let rows = eval.pv_error_rows();
-        println!("# Fig. 5a: program vulnerability error (lower is better)");
-        println!("label\tbenchmark\tM1:GLAIVE\tM2:MLP-BIT\tM3:SVM-INST\tM4:RF-INST");
-        for (cat, order, tag) in [
-            (Category::Data, DATA_ORDER, 'D'),
-            (Category::Control, CONTROL_ORDER, 'C'),
-        ] {
-            let mut sums = [0.0f64; 4];
-            for (i, name) in order.iter().enumerate() {
-                let r = rows
-                    .iter()
-                    .find(|r| r.benchmark == *name)
-                    .unwrap_or_else(|| panic!("missing row for {name}"));
-                println!(
-                    "{tag}{}\t{}\t{:.3}\t{:.3}\t{:.3}\t{:.3}",
-                    i + 1,
-                    r.benchmark,
-                    r.errors[0],
-                    r.errors[1],
-                    r.errors[2],
-                    r.errors[3]
-                );
-                for (s, e) in sums.iter_mut().zip(r.errors) {
-                    *s += e;
-                }
-            }
-            let avg = sums.map(|s| s / order.len() as f64);
-            println!(
-                "# {cat:?} averages: M1={:.3} M2={:.3} M3={:.3} M4={:.3}",
-                avg[0], avg[1], avg[2], avg[3]
-            );
-            for (k, m) in Method::ALL.iter().enumerate().skip(1) {
-                println!(
-                    "#   GLAIVE vs {}: {:+.1}% error",
-                    m.name(),
-                    (avg[0] - avg[k]) / avg[k] * 100.0
-                );
-            }
-        }
-
+        glaive_bench::paper::fig5a(&eval);
         Ok(())
     })
 }

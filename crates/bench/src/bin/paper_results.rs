@@ -1,194 +1,20 @@
-//! All paper artefacts from a single trained evaluation: Table II,
-//! Fig. 2, Table III, Fig. 4, Fig. 5a and Fig. 5b in one run (training the
-//! round-robin model sets once instead of once per binary).
+//! All six paper artefacts from one trained evaluation: Table II, Fig. 2,
+//! Table III, Fig. 4, Fig. 5a and Fig. 5b, in that order, exactly as the
+//! single-artefact binaries print them (the round-robin model sets are
+//! trained once instead of once per binary).
 //!
 //! Run with: `cargo run -p glaive-bench --bin paper_results --release`
 
-use glaive::experiments::{paper_budgets, CoverageCurve};
-use glaive::Method;
-use glaive_bench_suite::{Category, Split};
-
-const DATA_ORDER: [&str; 6] = ["blackscholes", "fft", "swaptions", "radix", "ctaes", "lu"];
-const CONTROL_ORDER: [&str; 6] = [
-    "dijkstra",
-    "streamcluster",
-    "jmeint",
-    "astar",
-    "sobel",
-    "inversek2j",
-];
+use glaive_bench::paper;
 
 fn main() -> std::process::ExitCode {
     glaive_bench::run_experiment(|| {
         let (eval, config) = glaive_bench::standard_evaluation()?;
-
-        // ---- Table II ----
-        println!("\n==== Table II: datasets ====");
-        println!("benchmark\tcategory\tsplit\tBL\tIL");
-        for d in eval.suite() {
-            println!(
-                "{}\t{}\t{}\t{}\t{}",
-                d.bench.name,
-                d.bench.category.tag(),
-                match d.bench.split {
-                    Split::TrainTest => "TT",
-                    Split::Validation => "V",
-                },
-                d.bit_datapoints(),
-                d.instr_datapoints()
-            );
-        }
-
-        // ---- Fig. 2 ----
-        println!("\n==== Fig. 2: vulnerability distributions ====");
-        println!("benchmark\tpure_masked\tpure_sdc\tpure_crash\tmixed");
-        let mut mixed_sum = 0.0;
-        for (name, _, v) in eval.distribution_rows() {
-            println!(
-                "{name}\t{:.4}\t{:.4}\t{:.4}\t{:.4}",
-                v.pure_masked, v.pure_sdc, v.pure_crash, v.mixed
-            );
-            mixed_sum += v.mixed;
-        }
-        println!(
-            "# average mixed: {:.4} (paper: 0.5188)",
-            mixed_sum / eval.suite().len() as f64
-        );
-
-        // ---- Table III ----
-        println!("\n==== Table III: accuracy (GLAIVE vs MLP-BIT) ====");
-        println!("benchmark\tcategory\tsplit\tGLAIVE\tMLP-BIT");
-        let rows = eval.accuracy_rows();
-        for r in &rows {
-            println!(
-                "{}\t{}\t{}\t{:.3}\t{:.3}",
-                r.benchmark,
-                r.category.tag(),
-                match r.split {
-                    Split::TrainTest => "TT",
-                    Split::Validation => "V",
-                },
-                r.glaive,
-                r.mlp_bit
-            );
-        }
-        for cat in [Category::Data, Category::Control] {
-            let sel: Vec<_> = rows.iter().filter(|r| r.category == cat).collect();
-            let g: f64 = sel.iter().map(|r| r.glaive).sum::<f64>() / sel.len() as f64;
-            let m: f64 = sel.iter().map(|r| r.mlp_bit).sum::<f64>() / sel.len() as f64;
-            println!(
-                "# {cat:?} avg: GLAIVE={g:.3} MLP-BIT={m:.3} ({:+.2}%)",
-                (g - m) / m * 100.0
-            );
-        }
-
-        // ---- Fig. 4 ----
-        println!("\n==== Fig. 4: top-K coverage ====");
-        let ks = paper_budgets();
-        let curves = eval.coverage_curves(&ks);
-        let series = |title: &str, sel: &[&CoverageCurve]| {
-            println!("-- {title} --");
-            print!("K%");
-            for m in Method::ALL {
-                print!("\t{}", m.name());
-            }
-            println!();
-            for (i, &k) in ks.iter().enumerate() {
-                print!("{k}");
-                for m in Method::ALL {
-                    let pts: Vec<f64> = sel
-                        .iter()
-                        .filter(|c| c.method == m)
-                        .map(|c| c.points[i].1)
-                        .collect();
-                    print!("\t{:.3}", pts.iter().sum::<f64>() / pts.len() as f64);
-                }
-                println!();
-            }
-        };
-        let radix: Vec<&CoverageCurve> = curves.iter().filter(|c| c.benchmark == "radix").collect();
-        series("(a) Radix", &radix);
-        let swap: Vec<&CoverageCurve> = curves
-            .iter()
-            .filter(|c| c.benchmark == "swaptions")
-            .collect();
-        series("(b) Swaptions", &swap);
-        let ctrl: Vec<&CoverageCurve> = curves
-            .iter()
-            .filter(|c| c.category == Category::Control)
-            .collect();
-        series("(c) Control-sensitive average", &ctrl);
-        println!("-- mean coverage over all budgets and benchmarks --");
-        for m in Method::ALL {
-            let sel: Vec<f64> = curves
-                .iter()
-                .filter(|c| c.method == m)
-                .map(CoverageCurve::mean_coverage)
-                .collect();
-            println!(
-                "{}\t{:.4}",
-                m.name(),
-                sel.iter().sum::<f64>() / sel.len() as f64
-            );
-        }
-
-        // ---- Fig. 5a ----
-        println!("\n==== Fig. 5a: program vulnerability error ====");
-        println!("label\tbenchmark\tM1:GLAIVE\tM2:MLP-BIT\tM3:SVM-INST\tM4:RF-INST");
-        let pv_rows = eval.pv_error_rows();
-        for (order, tag) in [(DATA_ORDER, 'D'), (CONTROL_ORDER, 'C')] {
-            let mut sums = [0.0f64; 4];
-            for (i, name) in order.iter().enumerate() {
-                let r = pv_rows
-                    .iter()
-                    .find(|r| r.benchmark == *name)
-                    .expect("row exists");
-                println!(
-                    "{tag}{}\t{}\t{:.3}\t{:.3}\t{:.3}\t{:.3}",
-                    i + 1,
-                    name,
-                    r.errors[0],
-                    r.errors[1],
-                    r.errors[2],
-                    r.errors[3]
-                );
-                for (s, e) in sums.iter_mut().zip(r.errors) {
-                    *s += e;
-                }
-            }
-            let a = sums.map(|s| s / 6.0);
-            println!(
-                "# {tag} avg: M1={:.3} M2={:.3} M3={:.3} M4={:.3}",
-                a[0], a[1], a[2], a[3]
-            );
-        }
-
-        // ---- Fig. 5b ----
-        println!("\n==== Fig. 5b: speedup over FI (log10) ====");
-        println!("label\tbenchmark\tFI_s\tM1\tM2\tM3\tM4");
-        let mut glaive_speedups = Vec::new();
-        for (order, tag) in [(DATA_ORDER, 'D'), (CONTROL_ORDER, 'C')] {
-            for (i, name) in order.iter().enumerate() {
-                let report = eval.runtime_report(name, &config)?;
-                let sp = report.speedups();
-                glaive_speedups.push(sp[0]);
-                println!(
-                    "{tag}{}\t{}\t{:.3}\t{:.2}\t{:.2}\t{:.2}\t{:.2}",
-                    i + 1,
-                    name,
-                    report.fi_seconds,
-                    sp[0].log10(),
-                    sp[1].log10(),
-                    sp[2].log10(),
-                    sp[3].log10()
-                );
-            }
-        }
-        let geo = (glaive_speedups.iter().map(|s| s.ln()).sum::<f64>()
-            / glaive_speedups.len() as f64)
-            .exp();
-        println!("# GLAIVE geometric-mean speedup: {geo:.0}x (paper: average 221x)");
-
-        Ok(())
+        paper::table2(eval.suite(), &config);
+        paper::fig2(eval.suite(), &config);
+        paper::table3(&eval);
+        paper::fig4(&eval);
+        paper::fig5a(&eval);
+        paper::fig5b(&eval, &config)
     })
 }

@@ -1,40 +1,10 @@
-//! Table II — experimental benchmarks with dataset split: bit-level (BL)
-//! and instruction-level (IL) datapoint counts per benchmark, with category
-//! and train-test/validation membership.
-//!
-//! Absolute counts are smaller than the paper's (inputs are scaled down and
-//! bit positions subsampled; see DESIGN.md §1) — the composition (6 control
-//! + 6 data, one validation program per category) matches Table II exactly.
-
-use glaive_bench_suite::Split;
+//! Table II — dataset sizes per benchmark; see
+//! [`glaive_bench::paper::table2`].
 
 fn main() -> std::process::ExitCode {
     glaive_bench::run_experiment(|| {
         let (suite, config) = glaive_bench::standard_suite()?;
-        println!(
-            "# Table II: datasets (bit stride {}, {} instances/site)",
-            config.bit_stride, config.instances_per_site
-        );
-        println!("benchmark\tcategory\tsplit\tBL\tIL\tstatic_instrs\tdyn_instrs");
-        for d in &suite {
-            println!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                d.bench.name,
-                d.bench.category.tag(),
-                match d.bench.split {
-                    Split::TrainTest => "TT",
-                    Split::Validation => "V",
-                },
-                d.bit_datapoints(),
-                d.instr_datapoints(),
-                d.bench.program().len(),
-                d.truth.golden().dyn_instrs,
-            );
-        }
-        let bl: usize = suite.iter().map(|d| d.bit_datapoints()).sum();
-        let il: usize = suite.iter().map(|d| d.instr_datapoints()).sum();
-        println!("# totals: BL={bl} IL={il}");
-
+        glaive_bench::paper::table2(&suite, &config);
         Ok(())
     })
 }

@@ -1,43 +1,10 @@
-//! Table III — bit-node classification accuracy of GLAIVE vs MLP-BIT per
-//! benchmark, under the round-robin n−1 regime with the two held-out
-//! validation programs (inversek2j, lu).
-//!
-//! Paper shape: GLAIVE ≥ MLP-BIT on data-sensitive benchmarks (clear
-//! margins on Radix and Ctaes), comparable on control-sensitive ones, and
-//! high accuracy on the *unseen* validation programs demonstrating
-//! transferability.
-
-use glaive_bench_suite::{Category, Split};
+//! Table III — GLAIVE vs MLP-BIT bit-classification accuracy; see
+//! [`glaive_bench::paper::table3`].
 
 fn main() -> std::process::ExitCode {
     glaive_bench::run_experiment(|| {
         let (eval, _) = glaive_bench::standard_evaluation()?;
-        println!("# Table III: GLAIVE vs MLP-BIT bit-classification accuracy");
-        println!("benchmark\tcategory\tsplit\tGLAIVE\tMLP-BIT");
-        let rows = eval.accuracy_rows();
-        for r in &rows {
-            println!(
-                "{}\t{}\t{}\t{:.3}\t{:.3}",
-                r.benchmark,
-                r.category.tag(),
-                match r.split {
-                    Split::TrainTest => "TT",
-                    Split::Validation => "V",
-                },
-                r.glaive,
-                r.mlp_bit
-            );
-        }
-        for cat in [Category::Data, Category::Control] {
-            let sel: Vec<_> = rows.iter().filter(|r| r.category == cat).collect();
-            let g: f64 = sel.iter().map(|r| r.glaive).sum::<f64>() / sel.len() as f64;
-            let m: f64 = sel.iter().map(|r| r.mlp_bit).sum::<f64>() / sel.len() as f64;
-            println!(
-                "# {cat:?} average: GLAIVE={g:.3} MLP-BIT={m:.3} (GLAIVE {:+.2}% vs MLP)",
-                (g - m) / m * 100.0
-            );
-        }
-
+        glaive_bench::paper::table3(&eval);
         Ok(())
     })
 }

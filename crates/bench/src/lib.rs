@@ -1,9 +1,11 @@
-//! Shared plumbing for the experiment binaries and timing benches that
-//! regenerate every table and figure of the paper's evaluation (§V).
+//! Shared plumbing for the experiment binaries that regenerate every table
+//! and figure of the paper's evaluation (§V).
 //!
-//! Each binary prints one table/figure as TSV to stdout. Pass `--quick`
-//! (or set `GLAIVE_QUICK=1`) to run with the subsampled test configuration
-//! instead of the full experiment configuration — useful for smoke tests.
+//! Each artefact has one printer in [`paper`]; its binary prints that one
+//! table/figure as TSV to stdout, and `paper_results` prints all six from
+//! one trained evaluation. Pass `--quick` (or set `GLAIVE_QUICK=1`) to run
+//! with the subsampled test configuration instead of the full experiment
+//! configuration — useful for smoke tests.
 //! Pass `--no-cache` (or set `GLAIVE_NO_CACHE=1`) to bypass the on-disk
 //! artifact cache; by default repeat runs reuse cached FI campaigns and
 //! trained GLAIVE models, which the timing summary printed to stderr makes
@@ -17,9 +19,12 @@
 //! | Fig. 4 (top-K coverage) | `fig4_coverage` |
 //! | Fig. 5a (program vulnerability error) | `fig5a_pv_error` |
 //! | Fig. 5b (speedup over FI) | `fig5b_speedup` |
+//! | All six above | `paper_results` |
 //! | DESIGN.md ablations | `ablations` |
+//!
+//! Timing lives in the repository's one benchmark, `perf_ledger`.
 
-pub mod timing;
+pub mod paper;
 
 use std::sync::Arc;
 
@@ -37,7 +42,7 @@ pub fn quick_requested() -> bool {
 }
 
 /// Returns `true` if `--no-cache` was passed or `GLAIVE_NO_CACHE` is set.
-pub fn cache_disabled() -> bool {
+fn cache_disabled() -> bool {
     std::env::args().any(|a| a == "--no-cache") || std::env::var("GLAIVE_NO_CACHE").is_ok()
 }
 
@@ -53,7 +58,7 @@ pub fn experiment_config() -> PipelineConfig {
 /// The pipeline runtime every experiment binary shares: the invocation's
 /// configuration, the artifact cache (unless disabled), and a timing
 /// recorder whose summary the caller prints via [`finish_telemetry`].
-pub fn experiment_pipeline() -> Result<(Pipeline, Arc<TimingRecorder>), Error> {
+fn experiment_pipeline() -> Result<(Pipeline, Arc<TimingRecorder>), Error> {
     let config = experiment_config();
     let recorder = Arc::new(TimingRecorder::new());
     let mut builder = Pipeline::builder(config).observer(recorder.clone());
@@ -65,7 +70,7 @@ pub fn experiment_pipeline() -> Result<(Pipeline, Arc<TimingRecorder>), Error> {
 
 /// Prints the stage timing summary (campaign / graph / training wall-clock
 /// plus cache hit counts) to stderr.
-pub fn finish_telemetry(recorder: &TimingRecorder) {
+fn finish_telemetry(recorder: &TimingRecorder) {
     eprint!("{}", recorder.summary());
 }
 
@@ -89,15 +94,6 @@ pub fn run_experiment(body: impl FnOnce() -> Result<(), Error>) -> std::process:
 /// before the configured quorum is checked, so a degraded or aborted run
 /// still reports every benchmark's fate.
 pub fn standard_evaluation() -> Result<(Evaluation, PipelineConfig), Error> {
-    let (eval, config, _) = standard_evaluation_timed()?;
-    Ok((eval, config))
-}
-
-/// Like [`standard_evaluation`], but also hands back the timing recorder so
-/// callers can read per-stage wall times (e.g. `kernel_bench`'s training
-/// time).
-pub fn standard_evaluation_timed(
-) -> Result<(Evaluation, PipelineConfig, Arc<TimingRecorder>), Error> {
     let (pipeline, recorder) = experiment_pipeline()?;
     let config = *pipeline.config();
     eprintln!(
@@ -107,7 +103,7 @@ pub fn standard_evaluation_timed(
     let suite = prepared_suite(&pipeline)?;
     let eval = pipeline.evaluation(suite)?;
     finish_telemetry(&recorder);
-    Ok((eval, config, recorder))
+    Ok((eval, config))
 }
 
 /// Prepares the suite only (no model training), for data-statistics

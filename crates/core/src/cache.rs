@@ -85,7 +85,7 @@ pub fn truth_key(bench: &Benchmark, campaign: &CampaignConfig) -> CacheKey {
 }
 
 /// The cache key of the GLAIVE GraphSAGE trained on `train` under
-/// `config`. Covers the model hyperparameters, the graph stride, the
+/// `config`. Covers the model hyperparameters, the bit stride, the
 /// campaign parameters that shape the labels, and each training
 /// benchmark's content, in training order (order affects the weights).
 /// `train_threads` is deliberately absent: any thread count produces
@@ -99,8 +99,10 @@ pub fn model_key(train: &[&BenchData], config: &PipelineConfig) -> CacheKey {
     }
     h.u64(s.lr.to_bits() as u64);
     h.u64(s.seed);
+    // The stride goes in twice: the second slot once held a separate graph
+    // stride, and keeping it keeps every cached model's key.
     h.u64(config.bit_stride as u64);
-    h.u64(config.effective_graph_stride() as u64);
+    h.u64(config.bit_stride as u64);
     h.u64(config.instances_per_site as u64);
     h.u64(train.len() as u64);
     for d in train {
@@ -199,6 +201,7 @@ mod tests {
     use super::*;
     use crate::config::PipelineConfig;
     use glaive_bench_suite::control::dijkstra;
+    use glaive_bench_suite::data::lu;
 
     fn temp_cache(tag: &str) -> ArtifactCache {
         let dir =
@@ -242,6 +245,16 @@ mod tests {
         let mut threads = base;
         threads.threads = 5;
         assert_eq!(k0, truth_key(&bench, &threads.campaign()));
+    }
+
+    /// Cached models stay addressable: the key of a quick-config `lu`
+    /// model is pinned to the value computed when the graph stride was a
+    /// separate setting.
+    #[test]
+    fn model_key_is_pinned() {
+        let config = PipelineConfig::quick_test();
+        let lu = crate::data::prepare_benchmark(lu::build(1), &config);
+        assert_eq!(model_key(&[&lu], &config).to_string(), "d803583d9aaf4240");
     }
 
     #[test]

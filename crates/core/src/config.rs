@@ -23,7 +23,7 @@ pub enum QuorumPolicy {
 /// and the CDFG must sample the same bit positions so FI labels join onto
 /// graph nodes) plus per-model hyperparameters.
 ///
-/// Construct via [`PipelineConfig::builder`] to have the stride invariants
+/// Construct via [`PipelineConfig::builder`] to have the invariants
 /// checked up front; the struct remains openly constructible for tests and
 /// callers that know their values are valid (the campaign still asserts
 /// the hard invariants).
@@ -33,11 +33,6 @@ pub struct PipelineConfig {
     /// (1 = all 64 bits as in the paper; the default 8 keeps the
     /// from-scratch CPU pipeline fast — see DESIGN.md §1).
     pub bit_stride: usize,
-    /// Graph-side stride override for the word-vs-bit representation
-    /// ablation; `None` follows `bit_stride`. Must be a multiple of
-    /// `bit_stride`, otherwise FI labels fail to join onto graph nodes —
-    /// [`PipelineConfigBuilder::build`] enforces this.
-    pub graph_stride: Option<usize>,
     /// Dynamic instances sampled per fault site.
     pub instances_per_site: usize,
     /// FI worker threads (0 = available parallelism).
@@ -84,7 +79,6 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             bit_stride: 8,
-            graph_stride: None,
             instances_per_site: 2,
             threads: 0,
             train_threads: 0,
@@ -121,7 +115,6 @@ impl PipelineConfig {
     pub fn quick_test() -> Self {
         PipelineConfig {
             bit_stride: 16,
-            graph_stride: None,
             instances_per_site: 1,
             threads: 0,
             train_threads: 0,
@@ -172,14 +165,8 @@ impl PipelineConfig {
     /// The CDFG configuration implied by this pipeline config.
     pub fn cdfg(&self) -> CdfgConfig {
         CdfgConfig {
-            bit_stride: self.effective_graph_stride(),
+            bit_stride: self.bit_stride,
         }
-    }
-
-    /// The stride graphs are actually built at: the override if set, else
-    /// the shared `bit_stride`.
-    pub fn effective_graph_stride(&self) -> usize {
-        self.graph_stride.unwrap_or(self.bit_stride)
     }
 
     /// A validating builder seeded with the experiment-scale defaults.
@@ -208,16 +195,6 @@ impl PipelineConfig {
         if self.instances_per_site < 1 {
             return invalid("instances_per_site must be at least 1".to_string());
         }
-        if let Some(g) = self.graph_stride {
-            if g < self.bit_stride || g > glaive_isa::WORD_BITS || g % self.bit_stride != 0 {
-                return invalid(format!(
-                    "graph_stride ({g}) must be a multiple of the campaign bit_stride ({}) \
-                     within 1..={}, or FI labels fail to join onto graph nodes",
-                    self.bit_stride,
-                    glaive_isa::WORD_BITS
-                ));
-            }
-        }
         if self.sage.classes != 3 {
             return invalid(format!(
                 "sage.classes must be 3 (Masked/SDC/Crash), got {}",
@@ -236,9 +213,9 @@ impl PipelineConfig {
     }
 }
 
-/// Builder for [`PipelineConfig`] that validates the cross-field stride
-/// invariants on [`build`](PipelineConfigBuilder::build), instead of
-/// leaving them to a doc comment.
+/// Builder for [`PipelineConfig`] that validates its invariants on
+/// [`build`](PipelineConfigBuilder::build), instead of leaving them to a
+/// doc comment.
 #[derive(Debug, Clone)]
 pub struct PipelineConfigBuilder {
     config: PipelineConfig,
@@ -248,13 +225,6 @@ impl PipelineConfigBuilder {
     /// Campaign + graph bit-position sampling stride.
     pub fn bit_stride(mut self, stride: usize) -> Self {
         self.config.bit_stride = stride;
-        self
-    }
-
-    /// Graph-side stride override (word-vs-bit ablation); must be a
-    /// multiple of `bit_stride`.
-    pub fn graph_stride(mut self, stride: usize) -> Self {
-        self.config.graph_stride = Some(stride);
         self
     }
 
@@ -341,9 +311,8 @@ impl PipelineConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] naming the violated invariant: zero or
-    /// oversized strides, a graph stride that is not a multiple of the
-    /// campaign stride, zero instances per site, or degenerate model
+    /// [`Error::InvalidConfig`] naming the violated invariant: a zero or
+    /// oversized stride, zero instances per site, or degenerate model
     /// shapes.
     pub fn build(self) -> Result<PipelineConfig, Error> {
         self.config.validate()?;
@@ -375,15 +344,12 @@ mod tests {
     fn builder_accepts_valid_configs() {
         let c = PipelineConfig::builder()
             .bit_stride(4)
-            .graph_stride(16)
             .instances_per_site(3)
             .threads(2)
             .train_vanilla(true)
             .build()
             .expect("valid");
         assert_eq!(c.bit_stride, 4);
-        assert_eq!(c.effective_graph_stride(), 16);
-        assert_eq!(c.cdfg().bit_stride, 16);
         assert_eq!(c.campaign().bit_stride, 4);
         assert_eq!(c.instances_per_site, 3);
     }
@@ -396,25 +362,6 @@ mod tests {
             .instances_per_site(0)
             .build()
             .is_err());
-        // Graph stride must be a multiple of the campaign stride...
-        let err = PipelineConfig::builder()
-            .bit_stride(8)
-            .graph_stride(12)
-            .build()
-            .expect_err("12 is not a multiple of 8");
-        assert!(err.to_string().contains("multiple"), "{err}");
-        // ...and cannot be finer than it.
-        assert!(PipelineConfig::builder()
-            .bit_stride(16)
-            .graph_stride(8)
-            .build()
-            .is_err());
-        // Word-level ablation stays valid.
-        assert!(PipelineConfig::builder()
-            .bit_stride(8)
-            .graph_stride(64)
-            .build()
-            .is_ok());
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl BenchData {
 
 /// Runs the FI campaign and graph extraction for one benchmark.
 pub fn prepare_benchmark(bench: Benchmark, config: &PipelineConfig) -> BenchData {
-    prepare_benchmark_with_graph_stride(bench, config, config.effective_graph_stride())
+    prepare_benchmark_with_graph_stride(bench, config, config.bit_stride)
 }
 
 /// Like [`prepare_benchmark`] but with a graph stride decoupled from the

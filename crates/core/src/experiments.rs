@@ -17,7 +17,6 @@ use crate::data::{train_set, BenchData};
 use crate::error::Error;
 use crate::metrics::{bit_accuracy, program_vulnerability_error, top_k_coverage};
 use crate::models::{train_models_with, Method, Models};
-use crate::stats::{vulnerability_distribution, VulnDistribution};
 use crate::telemetry::{NullObserver, Observer, Stage};
 
 /// The number of workers a pool of `jobs` jobs should actually use
@@ -214,20 +213,6 @@ impl Evaluation {
                     category: d.bench.category,
                     errors,
                 }
-            })
-            .collect()
-    }
-
-    /// Fig. 2: bit-outcome composition per benchmark.
-    pub fn distribution_rows(&self) -> Vec<(String, Category, VulnDistribution)> {
-        self.suite
-            .iter()
-            .map(|d| {
-                (
-                    d.bench.name.to_string(),
-                    d.bench.category,
-                    vulnerability_distribution(d),
-                )
             })
             .collect()
     }

@@ -559,7 +559,7 @@ impl Pipeline {
         current_stage.set(Stage::GraphBuild);
         observer.stage_started(Stage::GraphBuild, name);
         let t0 = Instant::now();
-        let data = assemble_bench_data(bench, config.effective_graph_stride(), truth);
+        let data = assemble_bench_data(bench, config.bit_stride, truth);
         observer.stage_finished(
             Stage::GraphBuild,
             name,

@@ -145,7 +145,7 @@ impl TimingRecorder {
 
     /// Total wall-clock spent in `stage` (summed across workers, so it can
     /// exceed elapsed real time under parallelism).
-    pub fn stage_total(&self, stage: Stage) -> Duration {
+    fn stage_total(&self, stage: Stage) -> Duration {
         self.timings
             .lock()
             .expect("timings lock")

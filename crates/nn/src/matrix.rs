@@ -27,33 +27,17 @@ const MR: usize = 4;
 /// panel of `b` rows across all output rows before moving to the next, and
 /// `transpose_matmul` processes its output in panels of this many rows.
 /// Panels partition work without reordering any per-element accumulation,
-/// so the value (env `GLAIVE_MATMUL_KC`, default 512) only affects speed.
-fn k_block() -> usize {
-    static KC: OnceLock<usize> = OnceLock::new();
-    *KC.get_or_init(|| {
-        std::env::var("GLAIVE_MATMUL_KC")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&v| v >= MR)
-            .unwrap_or(512)
-    })
-}
+/// so the value only affects speed.
+const KC: usize = 512;
 
-/// Thread budget for the row-partitioned kernels: `GLAIVE_NN_THREADS` if
-/// set (useful to exercise or pin the fan-out on any machine), otherwise
-/// the available parallelism.
+/// Thread budget for the row-partitioned kernels: the available
+/// parallelism, read once.
 fn tuned_threads() -> usize {
     static T: OnceLock<usize> = OnceLock::new();
     *T.get_or_init(|| {
-        std::env::var("GLAIVE_NN_THREADS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&v| v >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     })
 }
 
@@ -379,10 +363,9 @@ fn matmul_chunk(
     let h = b.cols;
     let dl = left.cols;
     let d = b.rows;
-    let kc = k_block();
     let mut kb = 0;
     while kb < d {
-        let ke = (kb + kc).min(d);
+        let ke = (kb + KC).min(d);
         let mut tiles = chunk.chunks_exact_mut(MR * h);
         let mut i = start;
         for tile in tiles.by_ref() {
@@ -510,12 +493,11 @@ fn axpy(out: &mut [f32], a: f32, b: &[f32]) {
 /// scalar kernel.
 fn tmm_chunk(a: &Matrix, b: &Matrix, k0: usize, chunk: &mut [f32]) {
     let h = b.cols;
-    let kc = k_block();
     let rows = chunk.len() / h;
     let n = a.rows;
     let mut p = 0;
     while p < rows {
-        let pe = (p + kc).min(rows);
+        let pe = (p + KC).min(rows);
         let panel = &mut chunk[p * h..pe * h];
         let ks = k0 + p;
         let mut i = 0;
@@ -724,7 +706,7 @@ mod tests {
     /// boundary falls strictly inside the accumulation.
     #[test]
     fn kernels_are_bitwise_stable_across_k_panel_boundaries() {
-        let kc = k_block();
+        let kc = KC;
         for k in [kc - 1, kc, kc + 1, 2 * kc + 3] {
             let a = probe(5, k, 5);
             let b = probe(k, 9, 6);

@@ -543,24 +543,86 @@ fn pipelined_requests_on_one_socket_reply_in_order_and_bit_identical() {
     handle.join().expect("clean exit");
 }
 
-/// Admission control: with the in-flight bound pinned to 1, a pipelined
-/// burst must see typed `Busy` rejections (carrying the configured retry
-/// hint), every accepted request still answers bit-identically, reply
-/// order is preserved across the Busy/Predict mix, and the rejection
-/// counters surface in stats.
-#[test]
-fn saturated_server_sheds_load_with_typed_busy_replies() {
+/// One pipelining client of [`assert_sheds_load`]: sends `per_connection`
+/// predicts of `specs` (round robin), then reads every reply in order. A
+/// reply is either a `Busy` carrying the configured hint or a prediction
+/// bit-identical to serial inference (`references[i]` answers `specs[i]`).
+/// Returns `(answered, busy)`.
+fn pipelined_client(
+    addr: std::net::SocketAddr,
+    id: usize,
+    per_connection: usize,
+    specs: &[ProgramSpec],
+    references: &[Matrix],
+    start: &Barrier,
+) -> (usize, usize) {
     use glaive_serve::protocol::write_frame;
 
-    let model = model();
-    let program = programs().remove(0);
-    let serial = serial_probs(&model, &program);
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
+    start.wait();
+    for i in 0..per_connection {
+        let request = Request::Predict {
+            spec: specs[i % specs.len()].clone(),
+            stride: STRIDE as u32,
+            top_k: 5,
+            want_bits: true,
+        };
+        write_frame(&mut stream, &request.to_frame()).expect("send request");
+    }
 
+    let (mut answered, mut busy) = (0usize, 0usize);
+    for i in 0..per_connection {
+        let payload = read_frame(&mut stream).expect("reply arrives");
+        match Response::from_frame(&payload).expect("reply decodes") {
+            Response::Predict(reply) => {
+                answered += 1;
+                let serial = &references[i % references.len()];
+                let bits = reply.bit_probs.as_deref().expect("requested bit probs");
+                assert_eq!(
+                    bits.len(),
+                    serial.rows(),
+                    "connection {id} reply {i} answers the wrong request"
+                );
+                for (row, got) in bits.iter().enumerate() {
+                    for (a, b) in got.iter().zip(serial.row(row)) {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "connection {id} reply {i} diverged at row {row}"
+                        );
+                    }
+                }
+            }
+            Response::Busy { retry_after_ms } => {
+                busy += 1;
+                assert_eq!(retry_after_ms, 7, "Busy must carry the configured hint");
+            }
+            other => panic!("connection {id} reply {i} was neither Predict nor Busy: {other:?}"),
+        }
+    }
+    (answered, busy)
+}
+
+/// Pipelines `per_connection` predicts on each of `connections` concurrent
+/// connections against a server admitting at most `queue_bound` requests:
+/// load must be shed with typed `Busy` replies, every admitted request must
+/// still answer bit-identically and in order, and the rejection counters
+/// must surface in stats.
+fn assert_sheds_load(
+    queue_bound: usize,
+    connections: usize,
+    per_connection: usize,
+    specs: &[ProgramSpec],
+    references: &[Matrix],
+) {
     let server = Server::bind(
-        model,
+        model(),
         "127.0.0.1:0",
         ServerConfig {
-            queue_bound: 1,
+            queue_bound,
             busy_retry_ms: 7,
             ..ServerConfig::default()
         },
@@ -569,49 +631,30 @@ fn saturated_server_sheds_load_with_typed_busy_replies() {
     let addr = server.local_addr();
     let handle = server.spawn();
 
-    const K: usize = 16;
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-        .expect("read timeout");
-    for _ in 0..K {
-        let request = Request::Predict {
-            spec: ProgramSpec::Raw(program.clone()),
-            stride: STRIDE as u32,
-            top_k: 5,
-            want_bits: true,
-        };
-        write_frame(&mut stream, &request.to_frame()).expect("send burst request");
-    }
-
-    let (mut answered, mut busy) = (0usize, 0usize);
-    for i in 0..K {
-        let payload = read_frame(&mut stream).expect("reply arrives");
-        match Response::from_frame(&payload).expect("reply decodes") {
-            Response::Predict(reply) => {
-                answered += 1;
-                let bits = reply.bit_probs.as_deref().expect("requested bit probs");
-                assert_eq!(bits.len(), serial.rows());
-                for (row, got) in bits.iter().enumerate() {
-                    for (a, b) in got.iter().zip(serial.row(row)) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "reply {i} diverged at row {row}");
-                    }
-                }
-            }
-            Response::Busy { retry_after_ms } => {
-                busy += 1;
-                assert_eq!(retry_after_ms, 7, "Busy must carry the configured hint");
-            }
-            other => panic!("reply {i} was neither Predict nor Busy: {other:?}"),
-        }
-    }
-    assert_eq!(answered + busy, K);
+    let start = Barrier::new(connections);
+    let tallies: Vec<(usize, usize)> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..connections)
+            .map(|id| {
+                let start = &start;
+                scope.spawn(move || {
+                    pipelined_client(addr, id, per_connection, specs, references, start)
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|t| t.join().expect("client thread"))
+            .collect()
+    });
+    let answered: usize = tallies.iter().map(|t| t.0).sum();
+    let busy: usize = tallies.iter().map(|t| t.1).sum();
+    let sent = connections * per_connection;
+    assert_eq!(answered + busy, sent);
     assert!(answered >= 1, "at least the first request must be admitted");
     assert!(
         busy >= 1,
-        "a burst of {K} against queue_bound=1 must shed load"
+        "{sent} pipelined requests against queue_bound={queue_bound} must shed load"
     );
-    drop(stream);
 
     let mut control = Client::connect(addr).expect("control");
     let stats = control.stats().expect("stats");
@@ -620,6 +663,33 @@ fn saturated_server_sheds_load_with_typed_busy_replies() {
     assert_eq!(stats.errors, 0, "Busy is not an error");
     control.shutdown_server().expect("shutdown");
     handle.join().expect("clean exit");
+}
+
+/// Admission control under saturation, in two shapes: one connection
+/// pipelining a burst of raw programs against an in-flight bound of 1, and
+/// many connections pipelining suite programs (resolved server-side)
+/// against a bound of 8.
+#[test]
+fn saturated_server_sheds_load_with_typed_busy_replies() {
+    let model = model();
+
+    let program = programs().remove(0);
+    let serial = serial_probs(&model, &program);
+    assert_sheds_load(1, 1, 16, &[ProgramSpec::Raw(program)], &[serial]);
+
+    let benches: Vec<_> = glaive_bench_suite::suite(7).into_iter().take(4).collect();
+    let specs: Vec<ProgramSpec> = benches
+        .iter()
+        .map(|b| ProgramSpec::Suite {
+            name: b.name.to_string(),
+            seed: 7,
+        })
+        .collect();
+    let references: Vec<Matrix> = benches
+        .iter()
+        .map(|b| serial_probs(&model, b.program()))
+        .collect();
+    assert_sheds_load(8, 16, 4, &specs, &references);
 }
 
 /// `ResilientClient` treats `Busy` as transient backpressure: it keeps the
