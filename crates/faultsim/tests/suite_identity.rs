@@ -1,7 +1,9 @@
 //! Whole-suite bit identity of span injection: for every benchmark of the
 //! suite, a campaign's GLVFIT01 bytes equal a ground truth rebuilt spec by
 //! spec from `Campaign::inject`, the replay from instruction 0 on a fresh
-//! machine.
+//! machine. Both sides run the same interpreter, so the test also pins a
+//! digest of the whole suite's bytes: a change to the interpreter's
+//! semantics moves it.
 //!
 //! Ignored by default: it simulates the suite twice, which is slow in a
 //! debug build. `scripts/check.sh` runs it in release:
@@ -14,7 +16,21 @@ use glaive_bench_suite::suite;
 use glaive_faultsim::{Campaign, CampaignConfig, GroundTruth, InjectionRecord};
 use glaive_isa::{Isa, Program};
 
-fn assert_matches_replay<I: Isa>(program: &Program<I>, init_mem: &[u64], hang_factor: u64) {
+/// FNV-1a, restated locally so the pinned digest is independent of the
+/// crates it checks.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Checks `program`'s campaign against the replay from instruction 0 and
+/// returns its GLVFIT01 bytes.
+fn assert_matches_replay<I: Isa>(
+    program: &Program<I>,
+    init_mem: &[u64],
+    hang_factor: u64,
+) -> Vec<u8> {
     let config = CampaignConfig {
         bit_stride: 16,
         instances_per_site: 1,
@@ -37,12 +53,14 @@ fn assert_matches_replay<I: Isa>(program: &Program<I>, init_mem: &[u64], hang_fa
         plan.predicted.len(),
     )
     .expect("consistent parts");
+    let bytes = truth.to_bytes();
     assert_eq!(
-        truth.to_bytes(),
+        bytes,
         reference.to_bytes(),
         "{}: GLVFIT01 bytes diverged",
         program.name()
     );
+    bytes
 }
 
 #[test]
@@ -50,7 +68,14 @@ fn assert_matches_replay<I: Isa>(program: &Program<I>, init_mem: &[u64], hang_fa
 fn campaigns_match_replay_from_zero_on_both_suites() {
     let benches = suite(7);
     assert_eq!(benches.len(), 12);
-    for bench in &benches {
-        assert_matches_replay(bench.program(), &bench.init_mem, 4);
-    }
+    let digest = benches.iter().fold(0xcbf2_9ce4_8422_2325, |hash, bench| {
+        fnv1a(
+            hash,
+            &assert_matches_replay(bench.program(), &bench.init_mem, 4),
+        )
+    });
+    assert_eq!(
+        digest, 0x58da_af91_2fdb_954a,
+        "whole-suite GLVFIT01 digest moved: {digest:#018x}"
+    );
 }

@@ -17,7 +17,8 @@
 use std::fmt;
 
 use crate::instr::Instr;
-use crate::opcode::{AluOp, CvtOp, FpuOp, FpuUnaryOp, OpcodeClass};
+use crate::op::Op;
+use crate::opcode::OpcodeClass;
 use crate::reg::{Reg, NUM_REGS, WORD_BITS};
 
 /// The instruction set of this workspace. A zero-sized backend marker; its
@@ -197,6 +198,8 @@ impl fmt::Display for Trap {
 pub trait Isa: Copy + Clone + fmt::Debug + PartialEq + Eq + Send + Sync + 'static {
     /// The instruction type of this backend.
     type Instr: Copy + fmt::Debug + fmt::Display + PartialEq + Send + Sync + 'static;
+    /// An instruction lowered for the interpreter, from [`Isa::lower`].
+    type Op: Copy + fmt::Debug + Send + Sync + 'static;
 
     /// Width in bits of an architectural register (≤ canonical
     /// [`WORD_BITS`]).
@@ -223,16 +226,22 @@ pub trait Isa: Copy + Clone + fmt::Debug + PartialEq + Eq + Send + Sync + 'stati
     fn mem_access(instr: &Self::Instr) -> Option<MemAccess>;
     /// Fixed-width binary encoding; feeds campaign fingerprints.
     fn encode(instr: &Self::Instr) -> Vec<u8>;
-    /// Executes one instruction against the machine state.
+    /// The instruction lowered for [`Isa::execute`]; a machine lowers its
+    /// program once, when it is built.
+    fn lower(instr: &Self::Instr) -> Self::Op;
+    /// Executes one lowered instruction against the machine state. A
+    /// lowered instruction must name only registers of the file, as every
+    /// instruction of a [`Program`](crate::Program) does.
     ///
     /// # Errors
     ///
     /// A [`Trap`] for processor exceptions (the run classifies as Crash).
-    fn execute(instr: &Self::Instr, state: &mut MachineState) -> Result<Step, Trap>;
+    fn execute(op: &Self::Op, state: &mut MachineState) -> Result<Step, Trap>;
 }
 
 impl Isa for GlaiveIsa {
     type Instr = Instr;
+    type Op = Op;
 
     const WORD_BITS: usize = WORD_BITS;
     const NUM_REGS: usize = NUM_REGS;
@@ -284,175 +293,113 @@ impl Isa for GlaiveIsa {
         instr.encode().to_vec()
     }
 
-    fn execute(instr: &Instr, state: &mut MachineState) -> Result<Step, Trap> {
-        let r = |regs: &[u64], reg: Reg| regs[reg.index()];
-        match *instr {
-            Instr::Alu { op, rd, rs1, rs2 } => {
-                let v = alu_eval(op, r(&state.regs, rs1), r(&state.regs, rs2))?;
-                state.regs[rd.index()] = v;
-                Ok(Step::Next)
-            }
-            Instr::AluImm { op, rd, rs1, imm } => {
-                let v = alu_eval(op, r(&state.regs, rs1), imm as u64)?;
-                state.regs[rd.index()] = v;
-                Ok(Step::Next)
-            }
-            Instr::Fpu { op, rd, rs1, rs2 } => {
-                let a = f64::from_bits(r(&state.regs, rs1));
-                let b = f64::from_bits(r(&state.regs, rs2));
-                state.regs[rd.index()] = fpu_eval(op, a, b);
-                Ok(Step::Next)
-            }
-            Instr::FpuUnary { op, rd, rs1 } => {
-                let a = f64::from_bits(r(&state.regs, rs1));
-                let v = match op {
-                    FpuUnaryOp::FNeg => -a,
-                    FpuUnaryOp::FAbs => a.abs(),
-                    FpuUnaryOp::FSqrt => a.sqrt(),
-                };
-                state.regs[rd.index()] = v.to_bits();
-                Ok(Step::Next)
-            }
-            Instr::Cvt { op, rd, rs1 } => {
-                let x = r(&state.regs, rs1);
-                state.regs[rd.index()] = match op {
-                    CvtOp::IntToFloat => ((x as i64) as f64).to_bits(),
-                    CvtOp::FloatToInt => (f64::from_bits(x) as i64) as u64,
-                };
-                Ok(Step::Next)
-            }
-            Instr::Li { rd, imm } => {
-                state.regs[rd.index()] = imm as u64;
-                Ok(Step::Next)
-            }
-            Instr::Mov { rd, rs1 } => {
-                state.regs[rd.index()] = r(&state.regs, rs1);
-                Ok(Step::Next)
-            }
-            Instr::Load { rd, base, offset } => {
-                let addr = r(&state.regs, base).wrapping_add(offset as u64);
-                let v = *state
-                    .mem
-                    .get(addr as usize)
-                    .ok_or(Trap::OutOfBoundsLoad { addr })?;
-                state.regs[rd.index()] = v;
-                Ok(Step::Next)
-            }
-            Instr::Store { rs, base, offset } => {
-                let addr = r(&state.regs, base).wrapping_add(offset as u64);
-                let v = r(&state.regs, rs);
-                state.store(addr, v)?;
-                Ok(Step::Next)
-            }
-            Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                if cond.eval(r(&state.regs, rs1), r(&state.regs, rs2)) {
-                    Ok(Step::Goto(target))
-                } else {
-                    Ok(Step::Next)
-                }
-            }
-            Instr::Jump { target } => Ok(Step::Goto(target)),
-            Instr::Out { rs1 } => {
-                state.output.push(r(&state.regs, rs1));
-                Ok(Step::Next)
-            }
-            Instr::Halt => Ok(Step::Halt),
-        }
+    fn lower(instr: &Instr) -> Op {
+        Op::lower(instr)
     }
-}
 
-fn alu_eval(op: AluOp, a: u64, b: u64) -> Result<u64, Trap> {
-    let (sa, sb) = (a as i64, b as i64);
-    Ok(match op {
-        AluOp::Add => sa.wrapping_add(sb) as u64,
-        AluOp::Sub => sa.wrapping_sub(sb) as u64,
-        AluOp::Mul => sa.wrapping_mul(sb) as u64,
-        AluOp::Div => {
-            if sb == 0 {
-                return Err(Trap::DivByZero);
-            }
-            sa.wrapping_div(sb) as u64
-        }
-        AluOp::Rem => {
-            if sb == 0 {
-                return Err(Trap::DivByZero);
-            }
-            sa.wrapping_rem(sb) as u64
-        }
-        AluOp::And => a & b,
-        AluOp::Or => a | b,
-        AluOp::Xor => a ^ b,
-        AluOp::Shl => a.wrapping_shl(b as u32),
-        AluOp::Shr => a.wrapping_shr(b as u32),
-        AluOp::Sra => sa.wrapping_shr(b as u32) as u64,
-        AluOp::Slt => u64::from(sa < sb),
-        AluOp::Sltu => u64::from(a < b),
-        AluOp::Seq => u64::from(a == b),
-    })
-}
-
-fn fpu_eval(op: FpuOp, a: f64, b: f64) -> u64 {
-    match op {
-        FpuOp::FAdd => (a + b).to_bits(),
-        FpuOp::FSub => (a - b).to_bits(),
-        FpuOp::FMul => (a * b).to_bits(),
-        FpuOp::FDiv => (a / b).to_bits(),
-        FpuOp::FMin => a.min(b).to_bits(),
-        FpuOp::FMax => a.max(b).to_bits(),
-        FpuOp::FLt => u64::from(a < b),
-        FpuOp::FLe => u64::from(a <= b),
-        FpuOp::FEq => u64::from(a == b),
+    // Forced into the simulator's run loop: a step is then one dispatch
+    // on the op's opcode.
+    #[inline(always)]
+    fn execute(op: &Op, state: &mut MachineState) -> Result<Step, Trap> {
+        op.execute(state)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opcode::BranchCond;
+    use crate::opcode::{AluOp, BranchCond, FpuOp};
+
+    /// Executes `instr`, lowered, on a machine whose r1 and r2 hold `a`
+    /// and `b`; returns r3.
+    fn exec3(instr: Instr, a: u64, b: u64) -> Result<u64, Trap> {
+        let mut state = MachineState::new(NUM_REGS, vec![]);
+        (state.regs[1], state.regs[2]) = (a, b);
+        GlaiveIsa::execute(&GlaiveIsa::lower(&instr), &mut state)?;
+        Ok(state.regs[3])
+    }
+
+    /// `a op b` through the lowered executor, in register form; the
+    /// immediate form must agree.
+    fn alu(op: AluOp, a: u64, b: u64) -> Result<u64, Trap> {
+        let (rd, rs1, rs2) = (Reg(3), Reg(1), Reg(2));
+        let reg = exec3(Instr::Alu { op, rd, rs1, rs2 }, a, b);
+        let imm = b as i64;
+        assert_eq!(exec3(Instr::AluImm { op, rd, rs1, imm }, a, b), reg);
+        reg
+    }
+
+    fn fpu(op: FpuOp, a: f64, b: f64) -> u64 {
+        let (rd, rs1, rs2) = (Reg(3), Reg(1), Reg(2));
+        exec3(Instr::Fpu { op, rd, rs1, rs2 }, a.to_bits(), b.to_bits())
+            .expect("FPU ops never trap")
+    }
 
     #[test]
     fn alu_semantics() {
-        assert_eq!(alu_eval(AluOp::Add, 2, 3).unwrap(), 5);
-        assert_eq!(alu_eval(AluOp::Sub, 2, 3).unwrap(), (-1i64) as u64);
-        assert_eq!(alu_eval(AluOp::Mul, u64::MAX, 2).unwrap(), (-2i64) as u64);
-        assert_eq!(
-            alu_eval(AluOp::Div, (-7i64) as u64, 2).unwrap(),
-            (-3i64) as u64
-        );
-        assert_eq!(alu_eval(AluOp::Rem, 7, 3).unwrap(), 1);
-        assert_eq!(alu_eval(AluOp::Div, 1, 0), Err(Trap::DivByZero));
-        assert_eq!(alu_eval(AluOp::Rem, 1, 0), Err(Trap::DivByZero));
+        assert_eq!(alu(AluOp::Add, 2, 3).unwrap(), 5);
+        assert_eq!(alu(AluOp::Sub, 2, 3).unwrap(), (-1i64) as u64);
+        assert_eq!(alu(AluOp::Mul, u64::MAX, 2).unwrap(), (-2i64) as u64);
+        assert_eq!(alu(AluOp::Div, (-7i64) as u64, 2).unwrap(), (-3i64) as u64);
+        assert_eq!(alu(AluOp::Rem, 7, 3).unwrap(), 1);
+        assert_eq!(alu(AluOp::Div, 1, 0), Err(Trap::DivByZero));
+        assert_eq!(alu(AluOp::Rem, 1, 0), Err(Trap::DivByZero));
         // i64::MIN / -1 wraps instead of trapping on overflow.
         assert_eq!(
-            alu_eval(AluOp::Div, i64::MIN as u64, (-1i64) as u64).unwrap(),
+            alu(AluOp::Div, i64::MIN as u64, (-1i64) as u64).unwrap(),
             i64::MIN as u64
         );
-        assert_eq!(alu_eval(AluOp::Slt, (-1i64) as u64, 0).unwrap(), 1);
-        assert_eq!(alu_eval(AluOp::Sltu, (-1i64) as u64, 0).unwrap(), 0);
-        assert_eq!(alu_eval(AluOp::Shl, 1, 4).unwrap(), 16);
-        assert_eq!(
-            alu_eval(AluOp::Sra, (-16i64) as u64, 2).unwrap(),
-            (-4i64) as u64
-        );
-        assert_eq!(alu_eval(AluOp::Shr, (-16i64) as u64, 60).unwrap(), 15);
-        assert_eq!(alu_eval(AluOp::Seq, 4, 4).unwrap(), 1);
+        assert_eq!(alu(AluOp::Slt, (-1i64) as u64, 0).unwrap(), 1);
+        assert_eq!(alu(AluOp::Sltu, (-1i64) as u64, 0).unwrap(), 0);
+        assert_eq!(alu(AluOp::Shl, 1, 4).unwrap(), 16);
+        assert_eq!(alu(AluOp::Sra, (-16i64) as u64, 2).unwrap(), (-4i64) as u64);
+        assert_eq!(alu(AluOp::Shr, (-16i64) as u64, 60).unwrap(), 15);
+        assert_eq!(alu(AluOp::Seq, 4, 4).unwrap(), 1);
     }
 
     #[test]
     fn fpu_semantics() {
         let bits = |x: f64| x.to_bits();
-        assert_eq!(fpu_eval(FpuOp::FAdd, 1.5, 2.25), bits(3.75));
-        assert_eq!(fpu_eval(FpuOp::FDiv, 1.0, 0.0), bits(f64::INFINITY));
-        assert_eq!(fpu_eval(FpuOp::FLt, 1.0, 2.0), 1);
-        assert_eq!(fpu_eval(FpuOp::FLe, 2.0, 2.0), 1);
-        assert_eq!(fpu_eval(FpuOp::FEq, f64::NAN, f64::NAN), 0);
-        assert_eq!(fpu_eval(FpuOp::FMin, 1.0, 2.0), bits(1.0));
-        assert_eq!(fpu_eval(FpuOp::FMax, 1.0, 2.0), bits(2.0));
+        assert_eq!(fpu(FpuOp::FAdd, 1.5, 2.25), bits(3.75));
+        assert_eq!(fpu(FpuOp::FDiv, 1.0, 0.0), bits(f64::INFINITY));
+        assert_eq!(fpu(FpuOp::FLt, 1.0, 2.0), 1);
+        assert_eq!(fpu(FpuOp::FLe, 2.0, 2.0), 1);
+        assert_eq!(fpu(FpuOp::FEq, f64::NAN, f64::NAN), 0);
+        assert_eq!(fpu(FpuOp::FMin, 1.0, 2.0), bits(1.0));
+        assert_eq!(fpu(FpuOp::FMax, 1.0, 2.0), bits(2.0));
+    }
+
+    /// Whether the lowered `cond` branch on `a` and `b` is taken.
+    fn taken(cond: BranchCond, a: u64, b: u64) -> bool {
+        let mut state = MachineState::new(NUM_REGS, vec![]);
+        (state.regs[1], state.regs[2]) = (a, b);
+        let (rs1, rs2, target) = (Reg(1), Reg(2), 7);
+        let br = Instr::Branch {
+            cond,
+            rs1,
+            rs2,
+            target,
+        };
+        GlaiveIsa::execute(&GlaiveIsa::lower(&br), &mut state) == Ok(Step::Goto(7))
+    }
+
+    #[test]
+    fn branch_cond_eval_signed_vs_unsigned() {
+        let a = (-1i64) as u64;
+        let b = 1u64;
+        assert!(taken(BranchCond::Lt, a, b)); // -1 < 1 signed
+        assert!(!taken(BranchCond::Ltu, a, b)); // u64::MAX not < 1 unsigned
+        assert!(taken(BranchCond::Geu, a, b));
+        assert!(taken(BranchCond::Ne, a, b));
+    }
+
+    #[test]
+    fn branch_cond_eval_equalities() {
+        assert!(taken(BranchCond::Eq, 5, 5));
+        assert!(taken(BranchCond::Le, 5, 5));
+        assert!(taken(BranchCond::Ge, 5, 5));
+        assert!(!taken(BranchCond::Gt, 5, 5));
+        assert!(!taken(BranchCond::Lt, 5, 5));
     }
 
     #[test]
@@ -523,10 +470,13 @@ mod tests {
             rs1: Reg(1),
             rs2: Reg(1),
         };
-        assert_eq!(GlaiveIsa::execute(&add, &mut state), Ok(Step::Next));
+        let exec = |instr: &Instr, state: &mut MachineState| {
+            GlaiveIsa::execute(&GlaiveIsa::lower(instr), state)
+        };
+        assert_eq!(exec(&add, &mut state), Ok(Step::Next));
         assert_eq!(state.regs[2], 42);
         let out = Instr::Out { rs1: Reg(2) };
-        GlaiveIsa::execute(&out, &mut state).unwrap();
+        exec(&out, &mut state).unwrap();
         assert_eq!(state.output, vec![42]);
         let bad_load = Instr::Load {
             rd: Reg(3),
@@ -534,7 +484,7 @@ mod tests {
             offset: 0,
         };
         assert_eq!(
-            GlaiveIsa::execute(&bad_load, &mut state),
+            exec(&bad_load, &mut state),
             Err(Trap::OutOfBoundsLoad { addr: 42 })
         );
     }

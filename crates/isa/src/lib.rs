@@ -35,6 +35,7 @@
 mod asm;
 mod instr;
 mod isa;
+mod op;
 mod opcode;
 mod program;
 mod reg;
@@ -43,6 +44,7 @@ mod slot;
 pub use asm::{Asm, AsmError, Label};
 pub use instr::{DecodeError, Instr, INSTR_ENCODING_LEN};
 pub use isa::{Flow, GlaiveIsa, Isa, MachineState, MemAccess, Step, Trap};
+pub use op::Op;
 pub use opcode::{AluOp, BranchCond, CvtOp, FpuOp, FpuUnaryOp, Opcode, OpcodeClass};
 pub use program::{Program, ProgramError};
 pub use reg::{Reg, NUM_REGS, WORD_BITS};

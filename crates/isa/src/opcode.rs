@@ -237,21 +237,6 @@ impl BranchCond {
             BranchCond::Geu => "bgeu",
         }
     }
-
-    /// Evaluates the condition on two register values.
-    pub fn eval(self, a: u64, b: u64) -> bool {
-        let (sa, sb) = (a as i64, b as i64);
-        match self {
-            BranchCond::Eq => a == b,
-            BranchCond::Ne => a != b,
-            BranchCond::Lt => sa < sb,
-            BranchCond::Ge => sa >= sb,
-            BranchCond::Le => sa <= sb,
-            BranchCond::Gt => sa > sb,
-            BranchCond::Ltu => a < b,
-            BranchCond::Geu => a >= b,
-        }
-    }
 }
 
 /// The coarse opcode identity of an instruction, used as a one-hot node
@@ -416,25 +401,6 @@ mod tests {
             assert!(idx < Opcode::COUNT, "{op:?} index {idx} out of range");
             assert!(seen.insert(idx), "duplicate index {idx} for {op:?}");
         }
-    }
-
-    #[test]
-    fn branch_cond_eval_signed_vs_unsigned() {
-        let a = (-1i64) as u64;
-        let b = 1u64;
-        assert!(BranchCond::Lt.eval(a, b)); // -1 < 1 signed
-        assert!(!BranchCond::Ltu.eval(a, b)); // u64::MAX not < 1 unsigned
-        assert!(BranchCond::Geu.eval(a, b));
-        assert!(BranchCond::Ne.eval(a, b));
-    }
-
-    #[test]
-    fn branch_cond_eval_equalities() {
-        assert!(BranchCond::Eq.eval(5, 5));
-        assert!(BranchCond::Le.eval(5, 5));
-        assert!(BranchCond::Ge.eval(5, 5));
-        assert!(!BranchCond::Gt.eval(5, 5));
-        assert!(!BranchCond::Lt.eval(5, 5));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 use std::fmt;
 
 use crate::isa::{GlaiveIsa, Isa};
+use crate::reg::Reg;
 
 /// A complete machine program: a named, fixed sequence of instructions plus
 /// the size of the flat data memory it executes against.
@@ -38,6 +39,14 @@ pub enum ProgramError {
         /// Its out-of-range target index.
         target: usize,
     },
+    /// The instruction at `pc` names a register outside the ISA's register
+    /// file.
+    BadRegister {
+        /// Static PC of the offending instruction.
+        pc: usize,
+        /// The out-of-range register.
+        reg: Reg,
+    },
 }
 
 impl fmt::Display for ProgramError {
@@ -45,6 +54,9 @@ impl fmt::Display for ProgramError {
         match self {
             ProgramError::DanglingTarget { pc, target } => {
                 write!(f, "instruction {pc} targets out-of-range index {target}")
+            }
+            ProgramError::BadRegister { pc, reg } => {
+                write!(f, "instruction {pc} names {reg}, outside the register file")
             }
         }
     }
@@ -54,15 +66,18 @@ impl std::error::Error for ProgramError {}
 
 impl<I: Isa> Program<I> {
     /// Creates a program from a name, instruction sequence and data-memory
-    /// size (in words), validating every branch/jump target so foreign
-    /// instruction streams are rejected with a typed error rather than a
-    /// later panic.
+    /// size (in words), validating every branch/jump target and register
+    /// operand so foreign instruction streams are rejected with a typed
+    /// error rather than a later panic.
     ///
     /// # Errors
     ///
     /// [`ProgramError::DanglingTarget`] when an instruction's target lies
     /// beyond the instruction sequence (a target *equal to* the length is
-    /// allowed: it halts by falling off the end).
+    /// allowed: it halts by falling off the end), and
+    /// [`ProgramError::BadRegister`] when a register in its
+    /// [`uses`](Isa::uses) or [`defs`](Isa::defs) is not below
+    /// [`Isa::NUM_REGS`].
     pub fn try_new(
         name: impl Into<String>,
         instrs: Vec<I::Instr>,
@@ -73,6 +88,10 @@ impl<I: Isa> Program<I> {
                 if target > instrs.len() {
                     return Err(ProgramError::DanglingTarget { pc, target });
                 }
+            }
+            let mut regs = I::uses(instr).into_iter().chain(I::defs(instr));
+            if let Some(reg) = regs.find(|r| r.index() >= I::NUM_REGS) {
+                return Err(ProgramError::BadRegister { pc, reg });
             }
         }
         Ok(Program {
@@ -180,6 +199,42 @@ mod tests {
         let ok: Result<Program, _> =
             Program::try_new("ok", vec![Instr::Jump { target: 2 }, Instr::Halt], 8);
         assert!(ok.is_ok());
+    }
+
+    #[test]
+    fn try_new_rejects_registers_outside_the_file() {
+        let li = Instr::Li {
+            rd: Reg(32),
+            imm: 1,
+        };
+        let bad: Result<Program, _> =
+            Program::try_new("bad", vec![li, Instr::Out { rs1: Reg(32) }, Instr::Halt], 4);
+        assert_eq!(
+            bad,
+            Err(ProgramError::BadRegister {
+                pc: 0,
+                reg: Reg(32)
+            })
+        );
+        let store = Instr::Store {
+            rs: Reg(31),
+            base: Reg(200),
+            offset: 0,
+        };
+        let bad: Result<Program, _> = Program::try_new("bad", vec![Instr::Halt, store], 4);
+        assert_eq!(
+            bad,
+            Err(ProgramError::BadRegister {
+                pc: 1,
+                reg: Reg(200)
+            })
+        );
+        assert!(bad.unwrap_err().to_string().contains("r200"));
+        let edge = Instr::Mov {
+            rd: Reg(31),
+            rs1: Reg(31),
+        };
+        assert!(Program::<GlaiveIsa>::try_new("ok", vec![edge, Instr::Halt], 4).is_ok());
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! driven by a deterministic inline RNG so the suite builds offline with
 //! no external crates.
 
-use glaive_isa::{AluOp, BranchCond, CvtOp, FpuOp, FpuUnaryOp, Instr, Reg, NUM_REGS};
+use glaive_isa::{
+    AluOp, BranchCond, CvtOp, FpuOp, FpuUnaryOp, GlaiveIsa, Instr, Isa, MachineState, Reg, Step,
+    NUM_REGS,
+};
 
 const CASES: u64 = 4096;
 
@@ -182,19 +185,31 @@ fn display_is_nonempty() {
     }
 }
 
-/// BranchCond::eval matches the Rust comparison it models.
+/// A lowered branch is taken exactly when the Rust comparison it models
+/// holds.
 #[test]
 fn branch_eval_matches_semantics() {
+    let taken = |cond, a, b| {
+        let mut state = MachineState::new(NUM_REGS, vec![]);
+        (state.regs[1], state.regs[2]) = (a, b);
+        let br = Instr::Branch {
+            cond,
+            rs1: Reg(1),
+            rs2: Reg(2),
+            target: 7,
+        };
+        GlaiveIsa::execute(&GlaiveIsa::lower(&br), &mut state) == Ok(Step::Goto(7))
+    };
     let mut rng = Rng(6);
     for _ in 0..CASES {
         let (a, b) = (rng.next(), rng.next());
-        assert_eq!(BranchCond::Eq.eval(a, b), a == b);
-        assert_eq!(BranchCond::Ne.eval(a, b), a != b);
-        assert_eq!(BranchCond::Lt.eval(a, b), (a as i64) < (b as i64));
-        assert_eq!(BranchCond::Ge.eval(a, b), (a as i64) >= (b as i64));
-        assert_eq!(BranchCond::Le.eval(a, b), (a as i64) <= (b as i64));
-        assert_eq!(BranchCond::Gt.eval(a, b), (a as i64) > (b as i64));
-        assert_eq!(BranchCond::Ltu.eval(a, b), a < b);
-        assert_eq!(BranchCond::Geu.eval(a, b), a >= b);
+        assert_eq!(taken(BranchCond::Eq, a, b), a == b);
+        assert_eq!(taken(BranchCond::Ne, a, b), a != b);
+        assert_eq!(taken(BranchCond::Lt, a, b), (a as i64) < (b as i64));
+        assert_eq!(taken(BranchCond::Ge, a, b), (a as i64) >= (b as i64));
+        assert_eq!(taken(BranchCond::Le, a, b), (a as i64) <= (b as i64));
+        assert_eq!(taken(BranchCond::Gt, a, b), (a as i64) > (b as i64));
+        assert_eq!(taken(BranchCond::Ltu, a, b), a < b);
+        assert_eq!(taken(BranchCond::Geu, a, b), a >= b);
     }
 }

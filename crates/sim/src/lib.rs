@@ -44,6 +44,8 @@
 //! # Ok::<(), glaive_isa::AsmError>(())
 //! ```
 
+#[cfg(test)]
+mod differential;
 mod fault;
 mod machine;
 mod outcome;
@@ -133,7 +135,7 @@ pub fn try_run_with_fault<I: Isa>(
 ///
 /// [`MachineError::InitMemTooLarge`] if `init_mem` exceeds the program's
 /// declared data memory.
-pub fn try_run_observed<I: Isa, O: StepObserver<I>>(
+pub fn try_run_observed<I: Isa, O: StepObserver>(
     program: &Program<I>,
     init_mem: &[u64],
     cfg: &ExecConfig,
@@ -151,7 +153,7 @@ pub fn try_run_observed<I: Isa, O: StepObserver<I>>(
 ///
 /// [`MachineError::InitMemTooLarge`] if `init_mem` exceeds the program's
 /// declared data memory.
-pub fn try_run_with_fault_observed<I: Isa, O: StepObserver<I>>(
+pub fn try_run_with_fault_observed<I: Isa, O: StepObserver>(
     program: &Program<I>,
     init_mem: &[u64],
     cfg: &ExecConfig,

@@ -120,32 +120,35 @@ impl fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
-/// A typed observer over the retire stream of a simulation run.
+/// An observer over the retire stream of a simulation run.
 ///
 /// `on_retire` is called once per dynamic instruction, *after* the
-/// instruction has executed successfully (architectural state already
-/// updated, any armed output fault already applied) and before control
-/// transfers to the next PC. Trapped instructions and budget exhaustion do
-/// not retire and are not observed.
+/// instruction has executed successfully and before control transfers to
+/// the next PC. Trapped instructions and budget exhaustion do not retire
+/// and are not observed.
 ///
 /// Observers are strictly read-only with respect to the machine: the
-/// simulator hands out only the PC and the instruction, so an observer —
-/// the timing layer being the canonical one — cannot perturb architectural
-/// state or fault semantics. The no-op impl for `()` makes the unobserved
+/// simulator hands out only the static PC, so an observer — the timing
+/// layer being the canonical one — cannot perturb architectural state or
+/// fault semantics. It looks up what it needs of the instruction in the
+/// program it was built for. The no-op impl for `()` makes the unobserved
 /// [`Simulator::run`] path zero-cost after monomorphisation.
-pub trait StepObserver<I: Isa> {
-    /// Witnesses the retirement of `instr` at static index `pc`.
-    fn on_retire(&mut self, pc: usize, instr: &I::Instr);
+pub trait StepObserver {
+    /// Witnesses the retirement of the instruction at static index `pc`.
+    fn on_retire(&mut self, pc: usize);
 }
 
-impl<I: Isa> StepObserver<I> for () {
+impl StepObserver for () {
     #[inline]
-    fn on_retire(&mut self, _pc: usize, _instr: &I::Instr) {}
+    fn on_retire(&mut self, _pc: usize) {}
 }
 
 /// An interpreter for one program execution, optionally with a single armed
 /// fault. Generic over the instruction-set backend; defaults to
 /// [`GlaiveIsa`].
+///
+/// The machine lowers its program once, when it is built, with
+/// [`Isa::lower`], and every run executes the lowered ops.
 ///
 /// Most callers use the [`run`](crate::run) / [`run_with_fault`](crate::run_with_fault)
 /// convenience functions; a `Simulator` is built directly to reuse one
@@ -153,6 +156,8 @@ impl<I: Isa> StepObserver<I> for () {
 #[derive(Debug, Clone)]
 pub struct Simulator<'p, I: Isa = GlaiveIsa> {
     program: &'p Program<I>,
+    /// The program lowered for [`Isa::execute`], one op per instruction.
+    ops: Vec<I::Op>,
     pub(crate) state: MachineState,
     pub(crate) dyn_instrs: u64,
     pub(crate) exec_counts: Vec<u64>,
@@ -189,6 +194,7 @@ impl<'p, I: Isa> Simulator<'p, I> {
         mem[..init_mem.len()].copy_from_slice(init_mem);
         Ok(Simulator {
             program,
+            ops: program.instrs().iter().map(I::lower).collect(),
             state: MachineState::new(I::NUM_REGS, mem),
             dyn_instrs: 0,
             exec_counts: vec![0; program.len()],
@@ -221,13 +227,13 @@ impl<'p, I: Isa> Simulator<'p, I> {
     /// influence execution, so the returned [`RunResult`] is identical to
     /// an unobserved run (the timing layer's differential tests enforce
     /// this bit-for-bit).
-    pub fn run_observed<O: StepObserver<I>>(&mut self, observer: &mut O) -> RunResult {
+    pub fn run_observed<O: StepObserver>(&mut self, observer: &mut O) -> RunResult {
         let status = self.run_to_exit(observer);
         self.result(status)
     }
 
     /// Executes until halt, trap or budget exhaustion.
-    pub(crate) fn run_to_exit<O: StepObserver<I>>(&mut self, observer: &mut O) -> ExitStatus {
+    pub(crate) fn run_to_exit<O: StepObserver>(&mut self, observer: &mut O) -> ExitStatus {
         // Without a pause point, `None` cannot come back.
         self.run_until(observer, u64::MAX)
             .unwrap_or(ExitStatus::BudgetExceeded)
@@ -246,65 +252,111 @@ impl<'p, I: Isa> Simulator<'p, I> {
     /// Executes until halt, trap or budget exhaustion, or until `pause_at`
     /// instructions have retired, whichever comes first; `None` means the
     /// run paused and can be continued.
-    pub(crate) fn run_until<O: StepObserver<I>>(
+    ///
+    /// The run loop is split at the fault: while one is armed, a step also
+    /// tests whether it is at the fault's PC; the firing step runs once
+    /// through [`Simulator::fire`], and the steps after it test only the
+    /// budget and the pause point.
+    pub(crate) fn run_until<O: StepObserver>(
         &mut self,
         observer: &mut O,
         pause_at: u64,
     ) -> Option<ExitStatus> {
         let limit = pause_at.min(self.max_instrs);
+        if self.fault.is_some() && !self.fault_fired {
+            self.steps::<O, true>(observer, limit)
+        } else {
+            self.steps::<O, false>(observer, limit)
+        }
+    }
+
+    /// The run loop: steps until `limit` instructions have retired or the
+    /// run exits. With `ARMED`, the step at the armed fault's dynamic
+    /// instance goes through [`Simulator::fire`] and the loop continues
+    /// unarmed.
+    #[inline(always)]
+    fn steps<O: StepObserver, const ARMED: bool>(
+        &mut self,
+        observer: &mut O,
+        limit: u64,
+    ) -> Option<ExitStatus> {
+        let (fire_pc, fire_at) = self.fault.map_or((0, 0), |f| (f.pc, f.instance));
         loop {
             if self.dyn_instrs >= limit {
                 return (self.dyn_instrs >= self.max_instrs).then_some(ExitStatus::BudgetExceeded);
             }
             let pc = self.state.pc;
-            let Some(&instr) = self.program.get(pc) else {
+            let Some(&op) = self.ops.get(pc) else {
                 return Some(ExitStatus::Trapped(Trap::InvalidPc { pc }));
             };
-
-            // Fault injection: fire when this PC reaches the armed dynamic
-            // instance. `exec_counts[pc]` counts *completed* prior
-            // executions, so it equals the 0-based instance number here.
-            let inject_def = if let Some(f) = self.fault {
-                if !self.fault_fired && f.pc == pc && self.exec_counts[pc] == f.instance {
-                    match f.slot {
-                        OperandSlot::Use(i) => {
-                            if let Some(&reg) = I::uses(&instr).get(i) {
-                                self.flip(reg, f.bit);
-                            }
-                            self.fault_fired = true;
-                            None
-                        }
-                        OperandSlot::Def(i) => {
-                            self.fault_fired = true;
-                            I::defs(&instr).get(i).copied().map(|reg| (reg, f.bit))
-                        }
-                    }
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
-
-            self.exec_counts[pc] += 1;
-            self.dyn_instrs += 1;
-
-            match I::execute(&instr, &mut self.state) {
-                Ok(step) => {
-                    // Output faults flip the destination after the write.
-                    if let Some((reg, bit)) = inject_def {
-                        self.flip(reg, bit);
-                    }
-                    observer.on_retire(pc, &instr);
-                    match step {
-                        Step::Next => self.state.pc = pc + 1,
-                        Step::Goto(t) => self.state.pc = t,
-                        Step::Halt => return Some(ExitStatus::Halted),
-                    }
-                }
-                Err(trap) => return Some(ExitStatus::Trapped(trap)),
+            // `exec_counts[pc]` counts *completed* prior executions, so it
+            // equals the 0-based instance number here.
+            if ARMED && pc == fire_pc && self.exec_counts[pc] == fire_at {
+                return match self.fire(observer, pc, op) {
+                    None => self.steps::<O, false>(observer, limit),
+                    exit => exit,
+                };
+            }
+            if let Some(exit) = self.step(observer, pc, op) {
+                return Some(exit);
             }
         }
+    }
+
+    /// Counts, executes and retires the fetched instruction at `pc`;
+    /// `Some` when the run stops at it.
+    #[inline(always)]
+    fn step<O: StepObserver>(
+        &mut self,
+        observer: &mut O,
+        pc: usize,
+        op: I::Op,
+    ) -> Option<ExitStatus> {
+        self.exec_counts[pc] += 1;
+        self.dyn_instrs += 1;
+        match I::execute(&op, &mut self.state) {
+            Ok(step) => {
+                observer.on_retire(pc);
+                match step {
+                    Step::Next => self.state.pc = pc + 1,
+                    Step::Goto(t) => self.state.pc = t,
+                    Step::Halt => return Some(ExitStatus::Halted),
+                }
+                None
+            }
+            Err(trap) => Some(ExitStatus::Trapped(trap)),
+        }
+    }
+
+    /// [`Simulator::step`] with the armed single-bit upset: a use fault
+    /// flips its register before the instruction executes, a def fault
+    /// after it writes. A slot the instruction does not have flips
+    /// nothing, and the fault still counts as fired.
+    #[cold]
+    #[inline(never)]
+    fn fire<O: StepObserver>(
+        &mut self,
+        observer: &mut O,
+        pc: usize,
+        op: I::Op,
+    ) -> Option<ExitStatus> {
+        let fault = self.fault.expect("fire runs only with a fault armed");
+        self.fault_fired = true;
+        let instr = &self.program.instrs()[pc];
+        let def = match fault.slot {
+            OperandSlot::Use(i) => {
+                if let Some(&reg) = I::uses(instr).get(i) {
+                    self.flip(reg, fault.bit);
+                }
+                None
+            }
+            OperandSlot::Def(i) => I::defs(instr).get(i).copied(),
+        };
+        let exit = self.step(observer, pc, op);
+        if let (Some(reg), None | Some(ExitStatus::Halted)) = (def, exit) {
+            self.flip(reg, fault.bit);
+        }
+        exit
     }
 }
 
@@ -644,8 +696,8 @@ mod tests {
         pcs: Vec<usize>,
     }
 
-    impl<I: Isa> StepObserver<I> for RetireLog {
-        fn on_retire(&mut self, pc: usize, _instr: &I::Instr) {
+    impl StepObserver for RetireLog {
+        fn on_retire(&mut self, pc: usize) {
             self.n += 1;
             self.pcs.push(pc);
         }

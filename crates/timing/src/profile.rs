@@ -1,6 +1,4 @@
-use std::marker::PhantomData;
-
-use glaive_isa::{Isa, Program};
+use glaive_isa::{Isa, Program, Reg};
 use glaive_sim::{ExecConfig, MachineError, RunResult, StepObserver};
 
 use crate::cost::CycleModel;
@@ -48,6 +46,18 @@ struct LiveDef {
     last_touch: u64,
 }
 
+/// What pricing one retirement of a static instruction needs, computed once
+/// per program: its latency and where its operands sit in
+/// [`TimingObserver::operands`].
+#[derive(Debug, Clone, Copy)]
+struct Static {
+    latency: u64,
+    /// Start of its sources, followed by its destinations.
+    first: usize,
+    uses: usize,
+    defs: usize,
+}
+
 /// A [`StepObserver`] that prices the retire stream with a [`CycleModel`]
 /// and a register scoreboard, producing a [`TimingProfile`].
 ///
@@ -55,11 +65,16 @@ struct LiveDef {
 /// issues per cycle, an instruction whose source operands are not yet
 /// available stalls until the producing latency has elapsed, and the run's
 /// total cycle count is the completion cycle of its last retirement. The
-/// observer is read-only — it watches `(pc, instr)` pairs and touches no
+/// observer is read-only — it watches retired PCs and touches no
 /// architectural state, so enabling it cannot change a run's result.
+/// Operands and latencies are looked up per PC, computed when the observer
+/// is built, so a retirement allocates nothing.
 #[derive(Debug)]
-pub struct TimingObserver<I: Isa, M: CycleModel> {
-    model: M,
+pub struct TimingObserver {
+    /// Per-PC latency and operand ranges.
+    statics: Vec<Static>,
+    /// Register operands of every instruction, sources first, in PC order.
+    operands: Vec<Reg>,
     /// Next cycle at which the issue slot is free.
     cursor: u64,
     /// Max completion cycle seen so far.
@@ -70,21 +85,38 @@ pub struct TimingObserver<I: Isa, M: CycleModel> {
     /// Per-register open definition interval (residency tracking).
     live: Vec<Option<LiveDef>>,
     per_pc: Vec<PcTiming>,
-    _isa: PhantomData<I>,
 }
 
-impl<I: Isa, M: CycleModel> TimingObserver<I, M> {
-    /// Creates an observer sized for `program`.
-    pub fn new(model: M, program: &Program<I>) -> Self {
+impl TimingObserver {
+    /// Creates an observer that prices `program` under `model`.
+    pub fn new<I: Isa, M: CycleModel>(model: M, program: &Program<I>) -> Self {
+        let mut operands = Vec::new();
+        let statics = program
+            .instrs()
+            .iter()
+            .map(|instr| {
+                let (uses, defs) = (I::uses(instr), I::defs(instr));
+                let first = operands.len();
+                operands.extend(uses.iter().chain(&defs));
+                Static {
+                    latency: model
+                        .latency(I::opcode_class(instr), I::mem_access(instr))
+                        .max(1),
+                    first,
+                    uses: uses.len(),
+                    defs: defs.len(),
+                }
+            })
+            .collect();
         TimingObserver {
-            model,
+            statics,
+            operands,
             cursor: 0,
             total: 0,
             retired: 0,
             ready: vec![0; I::NUM_REGS],
             live: vec![None; I::NUM_REGS],
             per_pc: vec![PcTiming::default(); program.len()],
-            _isa: PhantomData,
         }
     }
 
@@ -109,14 +141,15 @@ impl<I: Isa, M: CycleModel> TimingObserver<I, M> {
     }
 }
 
-impl<I: Isa, M: CycleModel> StepObserver<I> for TimingObserver<I, M> {
-    fn on_retire(&mut self, pc: usize, instr: &I::Instr) {
-        let uses = I::uses(instr);
-        let defs = I::defs(instr);
-        let latency = self
-            .model
-            .latency(I::opcode_class(instr), I::mem_access(instr))
-            .max(1);
+impl StepObserver for TimingObserver {
+    fn on_retire(&mut self, pc: usize) {
+        let Static {
+            latency,
+            first,
+            uses,
+            defs,
+        } = self.statics[pc];
+        let (uses, defs) = self.operands[first..first + uses + defs].split_at(uses);
 
         let operands_ready = uses
             .iter()

@@ -105,3 +105,43 @@ fn ground_truth_is_bit_identical_with_timing_on_or_off_isa_a() {
         );
     }
 }
+
+/// The golden profile of every suite program, pinned: the observer looks
+/// each instruction's operands and latency up from tables it builds once,
+/// and must price the retire stream exactly as it did when it asked the
+/// ISA on every retirement.
+#[test]
+fn suite_profiles_are_pinned() {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for bench in suite(7) {
+        let (_, profile) = try_profile(
+            bench.program(),
+            &bench.init_mem,
+            &ExecConfig::default(),
+            InOrderCost::default(),
+        )
+        .expect("well-formed");
+        eat(profile.total_cycles);
+        eat(profile.retired);
+        for t in &profile.per_pc {
+            for x in [
+                t.executions,
+                t.cycles,
+                t.stalls,
+                t.residency_sum,
+                t.residency_count,
+            ] {
+                eat(x);
+            }
+        }
+    }
+    assert_eq!(
+        hash, 0x217c_9e00_dc6d_7110,
+        "profile digest moved: {hash:#018x}"
+    );
+}

@@ -30,6 +30,9 @@ cargo test -q --offline --workspace
 echo "==> whole-suite injection bit identity (faultsim ignored tests, release)"
 cargo test --release --offline -p glaive-faultsim -- --ignored
 
+echo "==> lowered interpreter against the reference interpreter (sim ignored tests, release)"
+cargo test --release --offline -p glaive-sim -- --ignored
+
 echo "==> quick-mode smoke run (paper_results: all six paper artefacts)"
 GLAIVE_QUICK=1 cargo run -q --release --offline -p glaive-bench \
   --bin paper_results >/dev/null
