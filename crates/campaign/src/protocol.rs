@@ -28,7 +28,7 @@
 //! means refuses the job instead of corrupting the merge.
 
 use glaive_faultsim::{BitSite, CampaignConfig, InjectionRecord};
-use glaive_isa::{Instr, Program, INSTR_ENCODING_LEN};
+use glaive_isa::Program;
 use glaive_sim::{OperandSlot, Outcome};
 use glaive_wire::Reader;
 
@@ -40,7 +40,6 @@ pub use glaive_wire::{
 pub const MAGIC: &[u8; 8] = b"GLVCMP01";
 
 const NAME_CAP: usize = 1 << 12;
-const INSTR_CAP: usize = 1 << 20;
 const MEM_CAP: usize = 1 << 22;
 const RECORD_CAP: usize = 1 << 24;
 
@@ -293,13 +292,8 @@ impl ToWorker {
                     .u64(job.instances_per_site)
                     .u64(job.hang_factor)
                     .u8(job.predict_dead_defs as u8)
-                    .str(job.program.name())
-                    .u64(job.program.mem_words() as u64)
-                    .u32(job.program.len() as u32);
-                for instr in job.program.instrs() {
-                    b.raw(&instr.encode());
-                }
-                b.u32(job.init_mem.len() as u32);
+                    .program(&job.program)
+                    .u32(job.init_mem.len() as u32);
                 for &w in &job.init_mem {
                     b.u64(w);
                 }
@@ -348,29 +342,7 @@ impl ToWorker {
                     1 => true,
                     _ => return Err(ProtocolError::Corrupt("bad predict flag")),
                 };
-                let name = r.string(NAME_CAP)?;
-                let mem_words = usize::try_from(r.u64()?)
-                    .map_err(|_| ProtocolError::Corrupt("mem_words overflows usize"))?;
-                let count = r.u32()? as usize;
-                if count > INSTR_CAP {
-                    return Err(ProtocolError::Corrupt("instruction count exceeds cap"));
-                }
-                let mut instrs =
-                    Vec::with_capacity(count.min(r.remaining() / INSTR_ENCODING_LEN + 1));
-                for _ in 0..count {
-                    let bytes: [u8; INSTR_ENCODING_LEN] = r
-                        .take(INSTR_ENCODING_LEN)?
-                        .try_into()
-                        .expect("take returned the requested length");
-                    instrs.push(
-                        Instr::decode(&bytes)
-                            .map_err(|_| ProtocolError::Corrupt("undecodable instruction"))?,
-                    );
-                }
-                // Validate branch/jump targets here — `Program::new` would
-                // panic on a dangling target a checksummed frame can carry.
-                let program = Program::try_new(name, instrs, mem_words)
-                    .map_err(|_| ProtocolError::Corrupt("branch/jump target out of range"))?;
+                let program = r.program()?;
                 let words = r.counted(8)?;
                 if words > MEM_CAP {
                     return Err(ProtocolError::Corrupt("memory image exceeds cap"));
@@ -554,12 +526,12 @@ mod tests {
             .str("evil")
             .u64(4) // mem_words
             .u32(1) // instruction count
-            .raw(&Instr::Jump { target: 1000 }.encode())
+            .raw(&glaive_isa::Instr::Jump { target: 1000 }.encode())
             .u32(0); // init_mem
         let frame = b.seal();
         assert_eq!(
             ToWorker::from_frame(frame.bytes()),
-            Err(ProtocolError::Corrupt("branch/jump target out of range"))
+            Err(ProtocolError::Corrupt("invalid program"))
         );
     }
 

@@ -2,17 +2,17 @@
 //! graph, reaching definitions (def-use chains), simplified control
 //! dependence, and offset-class memory dependence.
 
-use glaive_isa::{Flow, Isa, Program, Reg};
+use glaive_isa::{Flow, Program, Reg};
 
 /// Control-flow successors of every instruction. The program-exit successor
 /// (index `program.len()`) is omitted.
-pub fn cfg_successors<I: Isa>(program: &Program<I>) -> Vec<Vec<usize>> {
+pub fn cfg_successors(program: &Program) -> Vec<Vec<usize>> {
     let n = program.len();
     program
         .instrs()
         .iter()
         .enumerate()
-        .map(|(pc, instr)| match I::flow(instr) {
+        .map(|(pc, instr)| match instr.flow() {
             Flow::Halt => Vec::new(),
             Flow::Jump(target) => {
                 if target < n {
@@ -57,7 +57,7 @@ pub struct DefUse {
 }
 
 /// Computes def-use chains via iterative reaching-definitions dataflow.
-pub fn def_use_chains<I: Isa>(program: &Program<I>) -> Vec<DefUse> {
+pub fn def_use_chains(program: &Program) -> Vec<DefUse> {
     let n = program.len();
     let succs = cfg_successors(program);
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -71,7 +71,7 @@ pub fn def_use_chains<I: Isa>(program: &Program<I>) -> Vec<DefUse> {
     let mut def_site: Vec<Option<(usize, Reg)>> = Vec::new(); // def id -> (pc, reg)
     let mut defs_at: Vec<Option<usize>> = vec![None; n]; // pc -> def id
     for (pc, instr) in program.instrs().iter().enumerate() {
-        if let Some(&reg) = I::defs(instr).first() {
+        if let Some(&reg) = instr.defs().first() {
             defs_at[pc] = Some(def_site.len());
             def_site.push(Some((pc, reg)));
         }
@@ -119,7 +119,7 @@ pub fn def_use_chains<I: Isa>(program: &Program<I>) -> Vec<DefUse> {
     // Emit def-use edges: defs of r reaching pc, for each use of r at pc.
     let mut edges = Vec::new();
     for (pc, instr) in program.instrs().iter().enumerate() {
-        for (slot, &reg) in I::uses(instr).iter().enumerate() {
+        for (slot, &reg) in instr.uses().iter().enumerate() {
             for &def_id in &defs_of_reg[reg.index()] {
                 if in_sets[pc][def_id / 64] >> (def_id % 64) & 1 == 1 {
                     let (def_pc, _) = def_site[def_id].expect("populated");
@@ -144,10 +144,10 @@ pub fn def_use_chains<I: Isa>(program: &Program<I>) -> Vec<DefUse> {
 /// produced by the `glaive-lang` code generator; else-sides reached via the
 /// taken edge are approximated away (documented deviation from full
 /// post-dominance-frontier control dependence).
-pub fn control_deps<I: Isa>(program: &Program<I>) -> Vec<(usize, usize)> {
+pub fn control_deps(program: &Program) -> Vec<(usize, usize)> {
     let mut deps = Vec::new();
     for (pc, instr) in program.instrs().iter().enumerate() {
-        if let Flow::Branch(target) = I::flow(instr) {
+        if let Flow::Branch(target) = instr.flow() {
             if target > pc + 1 {
                 for dep in pc + 1..target.min(program.len()) {
                     deps.push((pc, dep));
@@ -165,14 +165,14 @@ pub fn control_deps<I: Isa>(program: &Program<I>) -> Vec<(usize, usize)> {
 /// spill slots as `mem[zero_reg + slot]`, so instructions with equal offset
 /// constants access the same array or slot — equal offsets form the static
 /// alias classes.
-pub fn memory_deps<I: Isa>(program: &Program<I>) -> Vec<(usize, usize)> {
+pub fn memory_deps(program: &Program) -> Vec<(usize, usize)> {
     let n = program.len();
     let succs = cfg_successors(program);
     let stores: Vec<(usize, i64)> = program
         .instrs()
         .iter()
         .enumerate()
-        .filter_map(|(pc, i)| match I::mem_access(i) {
+        .filter_map(|(pc, i)| match i.mem_access() {
             Some(m) if m.is_store => Some((pc, m.alias)),
             _ => None,
         })
@@ -181,7 +181,7 @@ pub fn memory_deps<I: Isa>(program: &Program<I>) -> Vec<(usize, usize)> {
         .instrs()
         .iter()
         .enumerate()
-        .filter_map(|(pc, i)| match I::mem_access(i) {
+        .filter_map(|(pc, i)| match i.mem_access() {
             Some(m) if !m.is_store => Some((pc, m.alias)),
             _ => None,
         })

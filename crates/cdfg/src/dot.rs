@@ -4,7 +4,7 @@
 
 use std::fmt::Write as _;
 
-use glaive_isa::{Isa, Program};
+use glaive_isa::Program;
 
 use crate::analysis::{control_deps, def_use_chains, memory_deps};
 
@@ -29,7 +29,7 @@ use crate::analysis::{control_deps, def_use_chains, memory_deps};
 /// assert!(dot.contains("li r1, 2"));
 /// # Ok::<(), glaive_isa::AsmError>(())
 /// ```
-pub fn instruction_dot<I: Isa>(program: &Program<I>) -> String {
+pub fn instruction_dot(program: &Program) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "digraph \"{}\" {{", program.name());
     let _ = writeln!(out, "  rankdir=TB;");

@@ -9,7 +9,7 @@
 //! Instruction-level features (for RF-INST and SVM-INST): the opcode and
 //! opcode-type one-hots only, as in the paper.
 
-use glaive_isa::{Isa, Opcode, OpcodeClass, Program, NUM_REGS, WORD_BITS};
+use glaive_isa::{Opcode, OpcodeClass, Program, NUM_REGS, WORD_BITS};
 
 use crate::graph::{BitNode, Cdfg};
 
@@ -57,14 +57,14 @@ impl Cdfg {
 }
 
 /// Instruction-level feature matrix (`program.len() × INSTR_FEATURE_DIM`),
-/// row-major: opcode one-hot followed by opcode-class one-hot, using the
-/// canonical opcode vocabulary for any instruction-set backend.
-pub fn instruction_features<I: Isa>(program: &Program<I>) -> Vec<f32> {
+/// row-major: opcode one-hot followed by opcode-class one-hot.
+pub fn instruction_features(program: &Program) -> Vec<f32> {
     let mut m = vec![0.0f32; program.len() * INSTR_FEATURE_DIM];
     for (pc, instr) in program.instrs().iter().enumerate() {
         let row = &mut m[pc * INSTR_FEATURE_DIM..(pc + 1) * INSTR_FEATURE_DIM];
-        row[I::opcode_index(instr)] = 1.0;
-        row[Opcode::COUNT + I::opcode_class(instr).index()] = 1.0;
+        let opcode = instr.opcode();
+        row[opcode.index()] = 1.0;
+        row[Opcode::COUNT + opcode.class().index()] = 1.0;
     }
     m
 }

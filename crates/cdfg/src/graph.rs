@@ -1,7 +1,7 @@
 use std::collections::HashMap;
 
 use glaive_graph::{CsrGraph, EdgeKind};
-use glaive_isa::{Isa, OpcodeClass, OperandSlot, Program, Reg, WORD_BITS};
+use glaive_isa::{OpcodeClass, OperandSlot, Program, Reg, WORD_BITS};
 
 use crate::analysis::{control_deps, def_use_chains, memory_deps};
 
@@ -35,10 +35,8 @@ impl CdfgConfig {
 /// One node of the bit-level CDFG: bit `bit` of the register in operand
 /// `slot` of instruction `pc`.
 ///
-/// Nodes carry only the *portable* feature vocabulary (canonical opcode
-/// index, opcode class, register, bit, float flag) rather than the
-/// backend's concrete opcode type, so the `Cdfg` type does not depend on
-/// the ISA.
+/// Nodes carry the Table-I feature vocabulary (opcode index, opcode class,
+/// register, bit, float flag), not the instruction itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitNode {
     /// Static instruction index.
@@ -50,7 +48,7 @@ pub struct BitNode {
     /// The architectural register in that slot.
     pub reg: Reg,
     /// Index into the canonical opcode vocabulary
-    /// ([`Isa::opcode_index`]; `< Opcode::COUNT`).
+    /// ([`Opcode::index`](glaive_isa::Opcode::index); `< Opcode::COUNT`).
     pub opcode_index: u16,
     /// The instruction's coarse class in the shared Table-I taxonomy.
     pub class: OpcodeClass,
@@ -102,14 +100,12 @@ pub struct Cdfg {
 }
 
 impl Cdfg {
-    /// Builds the bit-level CDFG of `program`, for any instruction-set
-    /// backend. The resulting graph carries only portable node features —
-    /// the ISA parameter does not survive into the `Cdfg` type.
+    /// Builds the bit-level CDFG of `program`.
     ///
     /// # Panics
     ///
     /// Panics if `config.bit_stride` is 0 or greater than the word width.
-    pub fn build<I: Isa>(program: &Program<I>, config: &CdfgConfig) -> Cdfg {
+    pub fn build(program: &Program, config: &CdfgConfig) -> Cdfg {
         assert!(
             (1..=WORD_BITS).contains(&config.bit_stride),
             "bit_stride must be in 1..={WORD_BITS}"
@@ -123,9 +119,9 @@ impl Cdfg {
         let mut nodes = Vec::new();
         let mut index = HashMap::new();
         for (pc, instr) in program.instrs().iter().enumerate() {
-            let opcode_index = I::opcode_index(instr) as u16;
-            let class = I::opcode_class(instr);
-            let is_float = I::is_float(instr);
+            let opcode = instr.opcode();
+            let (opcode_index, class) = (opcode.index() as u16, opcode.class());
+            let is_float = instr.is_float();
             let mut push = |slot: OperandSlot, reg: Reg| {
                 for &bit in &bits {
                     index.insert((pc, slot, bit), nodes.len() as u32);
@@ -140,10 +136,10 @@ impl Cdfg {
                     });
                 }
             };
-            for (i, &reg) in I::uses(instr).iter().enumerate() {
+            for (i, &reg) in instr.uses().iter().enumerate() {
                 push(OperandSlot::Use(i), reg);
             }
-            for (i, &reg) in I::defs(instr).iter().enumerate() {
+            for (i, &reg) in instr.defs().iter().enumerate() {
                 push(OperandSlot::Def(i), reg);
             }
         }
@@ -156,10 +152,10 @@ impl Cdfg {
 
         // 1. Intra-instruction: every source bit → every destination bit.
         for (pc, instr) in program.instrs().iter().enumerate() {
-            if I::defs(instr).is_empty() {
+            if instr.defs().is_empty() {
                 continue;
             }
-            for (si, _) in I::uses(instr).iter().enumerate() {
+            for (si, _) in instr.uses().iter().enumerate() {
                 for &sb in &bits {
                     let from = index[&(pc, OperandSlot::Use(si), sb)];
                     for &db in &bits {
@@ -187,12 +183,12 @@ impl Cdfg {
         for (branch_pc, dep_pc) in control_deps(program) {
             let branch = &program.instrs()[branch_pc];
             let dep = &program.instrs()[dep_pc];
-            let dep_slots: Vec<OperandSlot> = if I::defs(dep).is_empty() {
-                (0..I::uses(dep).len()).map(OperandSlot::Use).collect()
+            let dep_slots: Vec<OperandSlot> = if dep.defs().is_empty() {
+                (0..dep.uses().len()).map(OperandSlot::Use).collect()
             } else {
                 vec![OperandSlot::Def(0)]
             };
-            for (ui, _) in I::uses(branch).iter().enumerate() {
+            for (ui, _) in branch.uses().iter().enumerate() {
                 for &b in &bits {
                     let from = index[&(branch_pc, OperandSlot::Use(ui), b)];
                     for &slot in &dep_slots {

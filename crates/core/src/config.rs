@@ -54,10 +54,6 @@ pub struct PipelineConfig {
     /// Also train the vanilla (all-neighbour) GraphSAGE for the
     /// aggregator ablation (doubles GNN training time).
     pub train_vanilla: bool,
-    /// Soft wall-clock deadline for one benchmark's FI campaign; the
-    /// campaign stops at the next batch boundary past it. `None` = no
-    /// limit.
-    pub campaign_deadline: Option<Duration>,
     /// Soft wall-clock deadline for preparing the whole suite; queued
     /// benchmarks past it are not started and running campaigns stop
     /// cooperatively. `None` = no limit.
@@ -100,7 +96,6 @@ impl Default for PipelineConfig {
             forest: ForestConfig::default(),
             svr: SvrConfig::default(),
             train_vanilla: false,
-            campaign_deadline: None,
             suite_deadline: None,
             stage_retries: 1,
             checkpoint_interval: 4096,
@@ -143,7 +138,6 @@ impl PipelineConfig {
                 ..SvrConfig::default()
             },
             train_vanilla: true,
-            campaign_deadline: None,
             suite_deadline: None,
             stage_retries: 0,
             checkpoint_interval: 256,
@@ -250,12 +244,6 @@ impl PipelineConfigBuilder {
     /// Whether to also train the vanilla all-neighbour GraphSAGE.
     pub fn train_vanilla(mut self, yes: bool) -> Self {
         self.config.train_vanilla = yes;
-        self
-    }
-
-    /// Soft wall-clock deadline for one benchmark's FI campaign.
-    pub fn campaign_deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.config.campaign_deadline = deadline;
         self
     }
 
@@ -386,7 +374,6 @@ mod tests {
         assert!(err.to_string().contains("quorum"), "{err}");
         let c = PipelineConfig::builder()
             .quorum(QuorumPolicy::MinBenchmarks(3))
-            .campaign_deadline(Some(Duration::from_secs(30)))
             .suite_deadline(Some(Duration::from_secs(120)))
             .stage_retries(2)
             .checkpoint_interval(512)

@@ -299,8 +299,8 @@ impl Pipeline {
     ///
     /// The campaign runs supervised on [`PipelineConfig::threads`] cores
     /// — panics are caught and retried per
-    /// [`PipelineConfig::stage_retries`], deadlines and the cancellation
-    /// flag are honoured, and interrupted campaigns checkpoint into the
+    /// [`PipelineConfig::stage_retries`], the suite deadline and the
+    /// cancellation flag are honoured, and interrupted campaigns checkpoint into the
     /// cache for a later resume.
     ///
     /// # Errors
@@ -499,7 +499,8 @@ impl Pipeline {
     }
 
     /// One supervised preparation attempt: campaign-or-cache (with
-    /// checkpoint resume, cancellation and deadlines) plus graph build.
+    /// checkpoint resume, cancellation and the suite deadline) plus graph
+    /// build.
     /// `current_stage` tracks where execution is so a caught panic can be
     /// attributed.
     fn prepare_attempt(
@@ -522,15 +523,10 @@ impl Pipeline {
                 };
                 let key = truth_key(&bench, &config.campaign());
                 let sink = cache.map(|c| c.checkpoint_sink(key));
-                let campaign_deadline = config.campaign_deadline.map(|d| Instant::now() + d);
-                let deadline = match (suite_deadline, campaign_deadline) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
                 let ctrl = RunControl {
                     progress: &adapter,
                     cancel: self.cancel.as_deref(),
-                    deadline,
+                    deadline: suite_deadline,
                     checkpoint: sink.as_ref().map(|s| s as &dyn CheckpointSink),
                     checkpoint_interval: config.checkpoint_interval,
                 };

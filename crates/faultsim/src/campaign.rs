@@ -3,7 +3,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use glaive_isa::{GlaiveIsa, Isa, Program};
+use glaive_isa::{Program, WORD_BITS};
 use glaive_sim::{
     classify, run_with_fault, ExecConfig, ExitStatus, FaultSpec, GoldenTrace, OperandSlot, Outcome,
     Simulator,
@@ -263,20 +263,18 @@ pub struct CampaignPlan {
     pub fingerprint: u64,
 }
 
-/// A systematic bit-level fault-injection campaign over one program.
-///
-/// Generic over the instruction-set backend `I` (default: [`GlaiveIsa`]);
-/// the injection semantics — flip one bit of one operand register at one
-/// dynamic instance — are ISA-independent, and the checkpoint fingerprint
-/// hashes the backend's own instruction encoding.
+/// A systematic bit-level fault-injection campaign over one program: flip
+/// one bit of one operand register at one dynamic instance, for every
+/// sampled site. The checkpoint fingerprint hashes the program's
+/// instruction encoding.
 #[derive(Debug)]
-pub struct Campaign<'p, I: Isa = GlaiveIsa> {
-    program: &'p Program<I>,
+pub struct Campaign<'p> {
+    program: &'p Program,
     init_mem: &'p [u64],
     config: CampaignConfig,
 }
 
-impl<'p, I: Isa> Campaign<'p, I> {
+impl<'p> Campaign<'p> {
     /// Creates a campaign for `program` with the given input image,
     /// validating the configuration.
     ///
@@ -285,7 +283,7 @@ impl<'p, I: Isa> Campaign<'p, I> {
     /// [`CampaignError::InvalidConfig`] when `bit_stride` or
     /// `instances_per_site` is zero.
     pub fn try_new(
-        program: &'p Program<I>,
+        program: &'p Program,
         init_mem: &'p [u64],
         config: CampaignConfig,
     ) -> Result<Self, CampaignError> {
@@ -317,11 +315,11 @@ impl<'p, I: Isa> Campaign<'p, I> {
                 continue;
             }
             let mut slots: Vec<OperandSlot> = Vec::new();
-            slots.extend((0..I::uses(instr).len()).map(OperandSlot::Use));
-            slots.extend((0..I::defs(instr).len()).map(OperandSlot::Def));
+            slots.extend((0..instr.uses().len()).map(OperandSlot::Use));
+            slots.extend((0..instr.defs().len()).map(OperandSlot::Def));
             let samples = self.instance_samples(count);
             for slot in slots {
-                for bit in (0..I::WORD_BITS).step_by(self.config.bit_stride) {
+                for bit in (0..WORD_BITS).step_by(self.config.bit_stride) {
                     for &instance in &samples {
                         specs.push(FaultSpec {
                             pc,
@@ -373,7 +371,7 @@ impl<'p, I: Isa> Campaign<'p, I> {
         }
         bytes.extend_from_slice(self.program.name().as_bytes());
         for instr in self.program.instrs() {
-            bytes.extend_from_slice(&I::encode(instr));
+            bytes.extend_from_slice(&instr.encode());
         }
         for &w in self.init_mem {
             bytes.extend_from_slice(&w.to_le_bytes());
@@ -1078,7 +1076,7 @@ mod tests {
 
     /// One span over the whole plan, on one reused machine, gives the
     /// records `inject` gives spec by spec from instruction 0.
-    fn assert_span_matches_inject<I: Isa>(p: &Program<I>) {
+    fn assert_span_matches_inject(p: &Program) {
         let init = [5, 7, 11, 13];
         let c = Campaign::try_new(
             p,

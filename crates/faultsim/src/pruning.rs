@@ -17,15 +17,15 @@
 //! the integration tests.
 
 use glaive_cdfg::analysis::def_use_chains;
-use glaive_isa::{Isa, Program};
+use glaive_isa::Program;
 
 /// Returns, for every instruction, whether its definition (if any) is
 /// *dead*: no def-use chain connects it to a consumer.
 ///
 /// Dead definitions are exactly the sites whose `Def`-slot faults are
-/// provably Masked. Works for any instruction-set backend: the analysis
-/// only consumes the backend's declared def/use sets.
-pub(crate) fn dead_defs<I: Isa>(program: &Program<I>) -> Vec<bool> {
+/// provably Masked. The analysis only consumes the instructions' def/use
+/// sets.
+pub(crate) fn dead_defs(program: &Program) -> Vec<bool> {
     let mut has_consumer = vec![false; program.len()];
     for e in def_use_chains(program) {
         has_consumer[e.def_pc] = true;
@@ -34,7 +34,7 @@ pub(crate) fn dead_defs<I: Isa>(program: &Program<I>) -> Vec<bool> {
         .instrs()
         .iter()
         .enumerate()
-        .map(|(pc, instr)| !I::defs(instr).is_empty() && !has_consumer[pc])
+        .map(|(pc, instr)| !instr.defs().is_empty() && !has_consumer[pc])
         .collect()
 }
 

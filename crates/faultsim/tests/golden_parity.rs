@@ -1,11 +1,9 @@
-//! Golden cross-refactor parity: the ISA-A pipeline must be bit-identical
-//! before and after the `Isa`-trait refactor.
-//!
-//! The hashes below were captured from the concrete-ISA implementation that
-//! predates the trait. Any change to campaign fingerprints, GLVFIT01 bytes,
-//! or Table-I feature vectors for ISA-A programs fails this suite — which is
-//! exactly the contract the refactor must uphold: generic code, identical
-//! artifacts.
+//! Golden parity: campaign fingerprints, GLVFIT01 bytes and Table-I
+//! feature vectors of two fixed programs, pinned by hashes captured
+//! before the simulator, fault-injection and CDFG layers were first
+//! refactored. Any change to those artifacts fails this suite — the
+//! contract every refactor of those layers must uphold: different code,
+//! identical artifacts.
 
 use glaive_cdfg::{Cdfg, CdfgConfig};
 use glaive_faultsim::{Campaign, CampaignConfig};
@@ -26,7 +24,7 @@ fn f32s_to_bytes(xs: &[f32]) -> Vec<u8> {
     xs.iter().flat_map(|x| x.to_le_bytes()).collect()
 }
 
-/// A small program that touches every instruction kind of ISA-A: integer
+/// A small program that touches every instruction kind of the ISA: integer
 /// ALU (reg and imm forms), FPU binary/unary, conversions, li/mov,
 /// load/store, forward and backward branches, jump, out, halt.
 fn kitchen_sink() -> Program {
@@ -100,7 +98,7 @@ fn campaign_config() -> CampaignConfig {
 
 /// Campaign fingerprint of the bounded kitchen-sink program, captured
 /// pre-refactor. The fingerprint preimage includes every encoded
-/// instruction, so it also pins the ISA-A instruction encoding.
+/// instruction, so it also pins the instruction encoding.
 #[test]
 fn campaign_fingerprint_is_stable() {
     let p = bounded_sink();

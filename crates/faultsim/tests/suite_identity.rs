@@ -14,7 +14,7 @@
 
 use glaive_bench_suite::suite;
 use glaive_faultsim::{Campaign, CampaignConfig, GroundTruth, InjectionRecord};
-use glaive_isa::{Isa, Program};
+use glaive_isa::Program;
 
 /// FNV-1a, restated locally so the pinned digest is independent of the
 /// crates it checks.
@@ -26,11 +26,7 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 
 /// Checks `program`'s campaign against the replay from instruction 0 and
 /// returns its GLVFIT01 bytes.
-fn assert_matches_replay<I: Isa>(
-    program: &Program<I>,
-    init_mem: &[u64],
-    hang_factor: u64,
-) -> Vec<u8> {
+fn assert_matches_replay(program: &Program, init_mem: &[u64], hang_factor: u64) -> Vec<u8> {
     let config = CampaignConfig {
         bit_stride: 16,
         instances_per_site: 1,

@@ -267,8 +267,8 @@ mod tests {
         asm.bind(end);
         asm.halt();
         let p = asm.finish().expect("resolves");
-        assert_eq!(p.instrs()[1].target(), Some(3));
-        assert_eq!(p.instrs()[2].target(), Some(0));
+        assert_eq!(p.instrs()[1].flow().target(), Some(3));
+        assert_eq!(p.instrs()[2].flow().target(), Some(0));
     }
 
     #[test]

@@ -6,6 +6,41 @@ use crate::reg::Reg;
 /// Length in bytes of the fixed-width binary encoding of an instruction.
 pub const INSTR_ENCODING_LEN: usize = 16;
 
+/// Static control flow of one instruction, as seen by CFG construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Falls through to `pc + 1`.
+    Fallthrough,
+    /// Unconditionally transfers to the absolute instruction index.
+    Jump(usize),
+    /// Conditionally transfers to the absolute instruction index, else
+    /// falls through.
+    Branch(usize),
+    /// Stops execution; no successors.
+    Halt,
+}
+
+impl Flow {
+    /// The branch/jump target, if any.
+    pub fn target(self) -> Option<usize> {
+        match self {
+            Flow::Jump(t) | Flow::Branch(t) => Some(t),
+            Flow::Fallthrough | Flow::Halt => None,
+        }
+    }
+}
+
+/// Static memory behaviour of one instruction, as seen by the `D_M`
+/// dependence analysis: whether it stores or loads, and its static alias
+/// class (instructions with equal `alias` may access the same location).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemAccess {
+    /// `true` for stores, `false` for loads.
+    pub is_store: bool,
+    /// Static alias class: the constant address offset.
+    pub alias: i64,
+}
+
 /// A single machine instruction.
 ///
 /// Branch and jump targets are absolute instruction indices within the
@@ -143,18 +178,27 @@ impl Instr {
         )
     }
 
-    /// Returns `true` if the instruction can redirect control flow.
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Instr::Branch { .. } | Instr::Jump { .. } | Instr::Halt
-        )
+    /// Static control flow, for CFG and control-dependence analysis.
+    pub fn flow(&self) -> Flow {
+        match *self {
+            Instr::Halt => Flow::Halt,
+            Instr::Jump { target } => Flow::Jump(target),
+            Instr::Branch { target, .. } => Flow::Branch(target),
+            _ => Flow::Fallthrough,
+        }
     }
 
-    /// The branch/jump target if this is a control-transfer instruction.
-    pub fn target(&self) -> Option<usize> {
+    /// Static memory behaviour, for the `D_M` dependence analysis.
+    pub fn mem_access(&self) -> Option<MemAccess> {
         match *self {
-            Instr::Branch { target, .. } | Instr::Jump { target } => Some(target),
+            Instr::Load { offset, .. } => Some(MemAccess {
+                is_store: false,
+                alias: offset,
+            }),
+            Instr::Store { offset, .. } => Some(MemAccess {
+                is_store: true,
+                alias: offset,
+            }),
             _ => None,
         }
     }
@@ -475,8 +519,8 @@ mod tests {
         };
         assert!(br.defs().is_empty());
         assert_eq!(br.uses(), vec![Reg(1), Reg(2)]);
-        assert!(br.is_control());
-        assert_eq!(br.target(), Some(0));
+        assert_eq!(br.flow(), Flow::Branch(0));
+        assert_eq!(br.flow().target(), Some(0));
     }
 
     #[test]
@@ -499,8 +543,28 @@ mod tests {
             rs2: Reg(0)
         }
         .is_float());
-        assert!(Instr::Halt.is_control());
-        assert_eq!(Instr::Halt.target(), None);
+        assert_eq!(Instr::Halt.flow(), Flow::Halt);
+        assert_eq!(Instr::Halt.flow().target(), None);
+        assert_eq!(Instr::Jump { target: 3 }.flow(), Flow::Jump(3));
+        assert_eq!(Instr::Li { rd: Reg(1), imm: 0 }.flow(), Flow::Fallthrough);
+    }
+
+    #[test]
+    fn mem_access_classifies_loads_and_stores() {
+        let ld = Instr::Load {
+            rd: Reg(1),
+            base: Reg(2),
+            offset: 5,
+        };
+        let st = Instr::Store {
+            rs: Reg(1),
+            base: Reg(2),
+            offset: 5,
+        };
+        let access = |is_store| Some(MemAccess { is_store, alias: 5 });
+        assert_eq!(ld.mem_access(), access(false));
+        assert_eq!(st.mem_access(), access(true));
+        assert_eq!(Instr::Halt.mem_access(), None);
     }
 
     #[test]

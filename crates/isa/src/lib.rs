@@ -34,18 +34,18 @@
 
 mod asm;
 mod instr;
-mod isa;
 mod op;
 mod opcode;
 mod program;
 mod reg;
 mod slot;
+mod state;
 
 pub use asm::{Asm, AsmError, Label};
-pub use instr::{DecodeError, Instr, INSTR_ENCODING_LEN};
-pub use isa::{Flow, GlaiveIsa, Isa, MachineState, MemAccess, Step, Trap};
+pub use instr::{DecodeError, Flow, Instr, MemAccess, INSTR_ENCODING_LEN};
 pub use op::Op;
 pub use opcode::{AluOp, BranchCond, CvtOp, FpuOp, FpuUnaryOp, Opcode, OpcodeClass};
 pub use program::{Program, ProgramError};
 pub use reg::{Reg, NUM_REGS, WORD_BITS};
 pub use slot::OperandSlot;
+pub use state::{MachineState, Step, Trap};

@@ -3,10 +3,10 @@
 //! operation and its operand form, so a step dispatches once.
 
 use crate::instr::Instr;
-use crate::isa::{MachineState, Step, Trap};
 use crate::reg::Reg;
+use crate::state::{MachineState, Step, Trap};
 
-/// One instruction lowered for [`Isa::execute`](crate::Isa::execute): an
+/// One instruction lowered for [`Op::execute`]: an
 /// opcode byte, `u8` register operands and one 64-bit immediate, offset or
 /// target.
 ///
@@ -146,8 +146,9 @@ const BRANCH: [Code; 8] = [
 ];
 
 impl Op {
-    /// Lowers one instruction.
-    pub(crate) fn lower(instr: &Instr) -> Op {
+    /// Lowers one instruction; a machine lowers its program once, when it
+    /// is built.
+    pub fn lower(instr: &Instr) -> Op {
         let op = |code, a: Reg, b: Reg, c: Reg, imm: u64| Op {
             code,
             a: a.0,
@@ -193,14 +194,16 @@ impl Op {
         }
     }
 
-    /// Executes the op against the machine state. Inlined into the
-    /// simulator's run loop, so a step costs one dispatch.
+    /// Executes the op against the machine state. The op must name only
+    /// registers of the file, as every lowered instruction of a
+    /// [`Program`](crate::Program) does. Inlined into the simulator's run
+    /// loop, so a step costs one dispatch.
     ///
     /// # Errors
     ///
-    /// A [`Trap`] for processor exceptions.
+    /// A [`Trap`] for processor exceptions (the run classifies as Crash).
     #[inline(always)]
-    pub(crate) fn execute(&self, state: &mut MachineState) -> Result<Step, Trap> {
+    pub fn execute(&self, state: &mut MachineState) -> Result<Step, Trap> {
         let regs = &mut state.regs;
         let (b, c) = (self.b as usize, self.c as usize);
         let imm = self.imm;
@@ -309,4 +312,130 @@ fn rem(a: u64, b: u64) -> Result<u64, Trap> {
         return Err(Trap::DivByZero);
     }
     Ok((a as i64).wrapping_rem(b as i64) as u64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::opcode::{AluOp, BranchCond, FpuOp};
+    use crate::reg::NUM_REGS;
+
+    /// Executes `instr`, lowered, on a machine whose r1 and r2 hold `a`
+    /// and `b`; returns r3.
+    fn exec3(instr: Instr, a: u64, b: u64) -> Result<u64, Trap> {
+        let mut state = MachineState::new(NUM_REGS, vec![]);
+        (state.regs[1], state.regs[2]) = (a, b);
+        Op::lower(&instr).execute(&mut state)?;
+        Ok(state.regs[3])
+    }
+
+    /// `a op b` through the lowered executor, in register form; the
+    /// immediate form must agree.
+    fn alu(op: AluOp, a: u64, b: u64) -> Result<u64, Trap> {
+        let (rd, rs1, rs2) = (Reg(3), Reg(1), Reg(2));
+        let reg = exec3(Instr::Alu { op, rd, rs1, rs2 }, a, b);
+        let imm = b as i64;
+        assert_eq!(exec3(Instr::AluImm { op, rd, rs1, imm }, a, b), reg);
+        reg
+    }
+
+    fn fpu(op: FpuOp, a: f64, b: f64) -> u64 {
+        let (rd, rs1, rs2) = (Reg(3), Reg(1), Reg(2));
+        exec3(Instr::Fpu { op, rd, rs1, rs2 }, a.to_bits(), b.to_bits())
+            .expect("FPU ops never trap")
+    }
+
+    #[test]
+    fn alu_semantics() {
+        assert_eq!(alu(AluOp::Add, 2, 3).unwrap(), 5);
+        assert_eq!(alu(AluOp::Sub, 2, 3).unwrap(), (-1i64) as u64);
+        assert_eq!(alu(AluOp::Mul, u64::MAX, 2).unwrap(), (-2i64) as u64);
+        assert_eq!(alu(AluOp::Div, (-7i64) as u64, 2).unwrap(), (-3i64) as u64);
+        assert_eq!(alu(AluOp::Rem, 7, 3).unwrap(), 1);
+        assert_eq!(alu(AluOp::Div, 1, 0), Err(Trap::DivByZero));
+        assert_eq!(alu(AluOp::Rem, 1, 0), Err(Trap::DivByZero));
+        // i64::MIN / -1 wraps instead of trapping on overflow.
+        assert_eq!(
+            alu(AluOp::Div, i64::MIN as u64, (-1i64) as u64).unwrap(),
+            i64::MIN as u64
+        );
+        assert_eq!(alu(AluOp::Slt, (-1i64) as u64, 0).unwrap(), 1);
+        assert_eq!(alu(AluOp::Sltu, (-1i64) as u64, 0).unwrap(), 0);
+        assert_eq!(alu(AluOp::Shl, 1, 4).unwrap(), 16);
+        assert_eq!(alu(AluOp::Sra, (-16i64) as u64, 2).unwrap(), (-4i64) as u64);
+        assert_eq!(alu(AluOp::Shr, (-16i64) as u64, 60).unwrap(), 15);
+        assert_eq!(alu(AluOp::Seq, 4, 4).unwrap(), 1);
+    }
+
+    #[test]
+    fn fpu_semantics() {
+        let bits = |x: f64| x.to_bits();
+        assert_eq!(fpu(FpuOp::FAdd, 1.5, 2.25), bits(3.75));
+        assert_eq!(fpu(FpuOp::FDiv, 1.0, 0.0), bits(f64::INFINITY));
+        assert_eq!(fpu(FpuOp::FLt, 1.0, 2.0), 1);
+        assert_eq!(fpu(FpuOp::FLe, 2.0, 2.0), 1);
+        assert_eq!(fpu(FpuOp::FEq, f64::NAN, f64::NAN), 0);
+        assert_eq!(fpu(FpuOp::FMin, 1.0, 2.0), bits(1.0));
+        assert_eq!(fpu(FpuOp::FMax, 1.0, 2.0), bits(2.0));
+    }
+
+    /// Whether the lowered `cond` branch on `a` and `b` is taken.
+    fn taken(cond: BranchCond, a: u64, b: u64) -> bool {
+        let mut state = MachineState::new(NUM_REGS, vec![]);
+        (state.regs[1], state.regs[2]) = (a, b);
+        let (rs1, rs2, target) = (Reg(1), Reg(2), 7);
+        let br = Instr::Branch {
+            cond,
+            rs1,
+            rs2,
+            target,
+        };
+        Op::lower(&br).execute(&mut state) == Ok(Step::Goto(7))
+    }
+
+    #[test]
+    fn branch_cond_eval_signed_vs_unsigned() {
+        let a = (-1i64) as u64;
+        let b = 1u64;
+        assert!(taken(BranchCond::Lt, a, b)); // -1 < 1 signed
+        assert!(!taken(BranchCond::Ltu, a, b)); // u64::MAX not < 1 unsigned
+        assert!(taken(BranchCond::Geu, a, b));
+        assert!(taken(BranchCond::Ne, a, b));
+    }
+
+    #[test]
+    fn branch_cond_eval_equalities() {
+        assert!(taken(BranchCond::Eq, 5, 5));
+        assert!(taken(BranchCond::Le, 5, 5));
+        assert!(taken(BranchCond::Ge, 5, 5));
+        assert!(!taken(BranchCond::Gt, 5, 5));
+        assert!(!taken(BranchCond::Lt, 5, 5));
+    }
+
+    #[test]
+    fn execute_matches_word_machine_expectations() {
+        let mut state = MachineState::new(NUM_REGS, vec![0; 4]);
+        state.regs[1] = 21;
+        let add = Instr::Alu {
+            op: AluOp::Add,
+            rd: Reg(2),
+            rs1: Reg(1),
+            rs2: Reg(1),
+        };
+        let exec = |instr: &Instr, state: &mut MachineState| Op::lower(instr).execute(state);
+        assert_eq!(exec(&add, &mut state), Ok(Step::Next));
+        assert_eq!(state.regs[2], 42);
+        let out = Instr::Out { rs1: Reg(2) };
+        exec(&out, &mut state).unwrap();
+        assert_eq!(state.output, vec![42]);
+        let bad_load = Instr::Load {
+            rd: Reg(3),
+            base: Reg(2),
+            offset: 0,
+        };
+        assert_eq!(
+            exec(&bad_load, &mut state),
+            Err(Trap::OutOfBoundsLoad { addr: 42 })
+        );
+    }
 }

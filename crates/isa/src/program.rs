@@ -1,13 +1,11 @@
 use std::fmt;
 
-use crate::isa::{GlaiveIsa, Isa};
-use crate::reg::Reg;
+use crate::instr::Instr;
+use crate::reg::{Reg, NUM_REGS};
 
 /// A complete machine program: a named, fixed sequence of instructions plus
 /// the size of the flat data memory it executes against.
 ///
-/// Generic over the instruction-set backend `I`, which defaults to
-/// [`GlaiveIsa`].
 /// Instruction indices double as "static PC" values (the auxiliary feature of
 /// Table I in the paper); branch/jump targets are instruction indices.
 ///
@@ -22,9 +20,9 @@ use crate::reg::Reg;
 /// assert_eq!(p.name(), "tiny");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Program<I: Isa = GlaiveIsa> {
+pub struct Program {
     name: String,
-    instrs: Vec<I::Instr>,
+    instrs: Vec<Instr>,
     mem_words: usize,
 }
 
@@ -39,8 +37,7 @@ pub enum ProgramError {
         /// Its out-of-range target index.
         target: usize,
     },
-    /// The instruction at `pc` names a register outside the ISA's register
-    /// file.
+    /// The instruction at `pc` names a register outside the register file.
     BadRegister {
         /// Static PC of the offending instruction.
         pc: usize,
@@ -64,7 +61,7 @@ impl fmt::Display for ProgramError {
 
 impl std::error::Error for ProgramError {}
 
-impl<I: Isa> Program<I> {
+impl Program {
     /// Creates a program from a name, instruction sequence and data-memory
     /// size (in words), validating every branch/jump target and register
     /// operand so foreign instruction streams are rejected with a typed
@@ -76,21 +73,21 @@ impl<I: Isa> Program<I> {
     /// beyond the instruction sequence (a target *equal to* the length is
     /// allowed: it halts by falling off the end), and
     /// [`ProgramError::BadRegister`] when a register in its
-    /// [`uses`](Isa::uses) or [`defs`](Isa::defs) is not below
-    /// [`Isa::NUM_REGS`].
+    /// [`uses`](Instr::uses) or [`defs`](Instr::defs) is not below
+    /// [`NUM_REGS`].
     pub fn try_new(
         name: impl Into<String>,
-        instrs: Vec<I::Instr>,
+        instrs: Vec<Instr>,
         mem_words: usize,
     ) -> Result<Self, ProgramError> {
         for (pc, instr) in instrs.iter().enumerate() {
-            if let Some(target) = I::flow(instr).target() {
+            if let Some(target) = instr.flow().target() {
                 if target > instrs.len() {
                     return Err(ProgramError::DanglingTarget { pc, target });
                 }
             }
-            let mut regs = I::uses(instr).into_iter().chain(I::defs(instr));
-            if let Some(reg) = regs.find(|r| r.index() >= I::NUM_REGS) {
+            let mut regs = instr.uses().into_iter().chain(instr.defs());
+            if let Some(reg) = regs.find(|r| r.index() >= NUM_REGS) {
                 return Err(ProgramError::BadRegister { pc, reg });
             }
         }
@@ -107,7 +104,7 @@ impl<I: Isa> Program<I> {
     }
 
     /// The instruction sequence.
-    pub fn instrs(&self) -> &[I::Instr] {
+    pub fn instrs(&self) -> &[Instr] {
         &self.instrs
     }
 
@@ -127,7 +124,7 @@ impl<I: Isa> Program<I> {
     }
 
     /// The instruction at `pc`, if in range.
-    pub fn get(&self, pc: usize) -> Option<&I::Instr> {
+    pub fn get(&self, pc: usize) -> Option<&Instr> {
         self.instrs.get(pc)
     }
 
@@ -142,7 +139,7 @@ impl<I: Isa> Program<I> {
     }
 }
 
-impl<I: Isa> fmt::Display for Program<I> {
+impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -157,9 +154,7 @@ impl<I: Isa> fmt::Display for Program<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::Instr;
     use crate::opcode::BranchCond;
-    use crate::reg::Reg;
 
     #[test]
     fn disassembly_lists_every_instruction() {
@@ -234,7 +229,7 @@ mod tests {
             rd: Reg(31),
             rs1: Reg(31),
         };
-        assert!(Program::<GlaiveIsa>::try_new("ok", vec![edge, Instr::Halt], 4).is_ok());
+        assert!(Program::try_new("ok", vec![edge, Instr::Halt], 4).is_ok());
     }
 
     #[test]

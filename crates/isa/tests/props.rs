@@ -3,7 +3,7 @@
 //! no external crates.
 
 use glaive_isa::{
-    AluOp, BranchCond, CvtOp, FpuOp, FpuUnaryOp, GlaiveIsa, Instr, Isa, MachineState, Reg, Step,
+    AluOp, BranchCond, CvtOp, Flow, FpuOp, FpuUnaryOp, Instr, MachineState, Op, Reg, Step, Trap,
     NUM_REGS,
 };
 
@@ -167,7 +167,7 @@ fn control_instrs_define_nothing() {
     let mut rng = Rng(4);
     for _ in 0..CASES {
         let instr = rng.instr();
-        if instr.is_control() {
+        if instr.flow() != Flow::Fallthrough {
             assert!(instr.defs().is_empty());
         }
     }
@@ -198,7 +198,7 @@ fn branch_eval_matches_semantics() {
             rs2: Reg(2),
             target: 7,
         };
-        GlaiveIsa::execute(&GlaiveIsa::lower(&br), &mut state) == Ok(Step::Goto(7))
+        Op::lower(&br).execute(&mut state) == Ok(Step::Goto(7))
     };
     let mut rng = Rng(6);
     for _ in 0..CASES {
@@ -211,5 +211,68 @@ fn branch_eval_matches_semantics() {
         assert_eq!(taken(BranchCond::Gt, a, b), (a as i64) > (b as i64));
         assert_eq!(taken(BranchCond::Ltu, a, b), a < b);
         assert_eq!(taken(BranchCond::Geu, a, b), a >= b);
+    }
+}
+
+/// The analyses' static view of an instruction — its `defs`, `flow` and
+/// `mem_access` — agrees with what the executor does with it, on random
+/// machine states where half the registers hold in-bounds addresses.
+#[test]
+fn static_facts_agree_with_execution() {
+    const MEM_WORDS: u64 = 4096;
+    let mut rng = Rng(8);
+    let image: Vec<u64> = (0..MEM_WORDS).map(|_| rng.next()).collect();
+    for _ in 0..4 * CASES {
+        let instr = rng.instr();
+        let mut state = MachineState::new(NUM_REGS, image.clone());
+        for r in &mut state.regs {
+            *r = if rng.below(2) == 0 {
+                rng.below(MEM_WORDS)
+            } else {
+                rng.next()
+            };
+        }
+        let before = state.clone();
+        let step = Op::lower(&instr).execute(&mut state);
+
+        let defs = instr.defs();
+        for (r, (now, was)) in state.regs.iter().zip(&before.regs).enumerate() {
+            assert!(
+                now == was || defs.contains(&Reg(r as u8)),
+                "{instr} wrote r{r}"
+            );
+        }
+        let flow = instr.flow();
+        assert_eq!(step == Ok(Step::Halt), flow == Flow::Halt, "{instr}");
+        match step {
+            Ok(Step::Goto(t)) => {
+                assert!(flow == Flow::Jump(t) || flow == Flow::Branch(t), "{instr}");
+            }
+            Ok(Step::Next) => {
+                assert!(
+                    matches!(flow, Flow::Fallthrough | Flow::Branch(_)),
+                    "{instr}"
+                );
+            }
+            _ => {}
+        }
+        let store = instr.mem_access().map(|m| m.is_store);
+        if state.mem != before.mem || !state.write_log().is_empty() {
+            assert_eq!(store, Some(true), "{instr} wrote memory");
+        }
+        if store == Some(true) && step.is_ok() {
+            assert_eq!(state.write_log().len(), 1, "{instr} stored without logging");
+        }
+        match step {
+            Err(Trap::OutOfBoundsLoad { .. }) => assert_eq!(store, Some(false), "{instr}"),
+            Err(Trap::OutOfBoundsStore { .. }) => assert_eq!(store, Some(true), "{instr}"),
+            _ => {}
+        }
+        let printed = state.output.len() - before.output.len();
+        assert_eq!(
+            printed,
+            usize::from(matches!(instr, Instr::Out { .. })),
+            "{instr}"
+        );
     }
 }

@@ -33,7 +33,7 @@
 
 use std::fmt;
 
-use glaive_isa::{Instr, Program, INSTR_ENCODING_LEN};
+use glaive_isa::Program;
 use glaive_wire::Reader;
 
 pub use glaive_wire::{
@@ -46,7 +46,6 @@ pub use glaive_wire::{
 pub const MAGIC: &[u8; 8] = b"GLVSRV02";
 
 const NAME_CAP: usize = 1 << 12;
-const INSTR_CAP: usize = 1 << 20;
 
 /// How a request names the program to estimate.
 #[derive(Debug, Clone, PartialEq)]
@@ -305,13 +304,7 @@ fn encode_spec(b: &mut FrameBuilder, spec: &ProgramSpec) {
             b.u8(0).str(name).u64(*seed);
         }
         ProgramSpec::Raw(program) => {
-            b.u8(1)
-                .str(program.name())
-                .u64(program.mem_words() as u64)
-                .u32(program.len() as u32);
-            for instr in program.instrs() {
-                b.raw(&instr.encode());
-            }
+            b.u8(1).program(program);
         }
     }
 }
@@ -407,33 +400,7 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<ProgramSpec, ProtocolError> {
             let seed = r.u64()?;
             Ok(ProgramSpec::Suite { name, seed })
         }
-        1 => {
-            let name = r.string(NAME_CAP)?;
-            let mem_words = r.u64()?;
-            let count = r.u32()? as usize;
-            if count > INSTR_CAP {
-                return Err(ProtocolError::Corrupt("instruction count exceeds cap"));
-            }
-            let mut instrs = Vec::with_capacity(count.min(r.remaining() / INSTR_ENCODING_LEN + 1));
-            for _ in 0..count {
-                let bytes: [u8; INSTR_ENCODING_LEN] = r
-                    .take(INSTR_ENCODING_LEN)?
-                    .try_into()
-                    .expect("take returned the requested length");
-                instrs.push(
-                    Instr::decode(&bytes)
-                        .map_err(|_| ProtocolError::Corrupt("undecodable instruction"))?,
-                );
-            }
-            let mem_words = usize::try_from(mem_words)
-                .map_err(|_| ProtocolError::Corrupt("mem_words overflows usize"))?;
-            // `Instr::decode` accepts any target index, so a checksummed
-            // frame can still carry a dangling branch/jump — validate here
-            // instead of letting `Program::new` panic the worker.
-            let program = Program::try_new(name, instrs, mem_words)
-                .map_err(|_| ProtocolError::Corrupt("branch/jump target out of range"))?;
-            Ok(ProgramSpec::Raw(program))
-        }
+        1 => Ok(ProgramSpec::Raw(r.program()?)),
         _ => Err(ProtocolError::Corrupt("bad program-spec tag")),
     }
 }
@@ -790,7 +757,7 @@ mod tests {
         let frame = b.seal();
         assert_eq!(
             Request::from_frame(frame.bytes()),
-            Err(ProtocolError::Corrupt("branch/jump target out of range"))
+            Err(ProtocolError::Corrupt("invalid program"))
         );
     }
 

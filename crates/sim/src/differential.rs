@@ -1,6 +1,6 @@
 //! The lowered interpreter against the one it replaced: a copy of the
-//! instruction-at-a-time `GlaiveIsa::execute` and its run loop, run side by
-//! side with [`Simulator`] on random programs that use every instruction
+//! instruction-at-a-time executor over [`Instr`] and its run loop, run side
+//! by side with [`Simulator`] on random programs that use every instruction
 //! form, every register and the edge values of each operation.
 //!
 //! The large-case variant is ignored by default; `scripts/check.sh` runs it

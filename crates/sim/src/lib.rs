@@ -58,109 +58,42 @@ pub use machine::{
 pub use outcome::{classify, Outcome};
 pub use trace::GoldenTrace;
 
-use glaive_isa::{Isa, Program};
+use glaive_isa::Program;
 
 /// Runs `program` to completion on a fresh machine whose memory is
-/// initialised from `init_mem` (the remainder is zero-filled). Works for any
-/// instruction-set backend; the ISA is inferred from the program.
+/// initialised from `init_mem` (the remainder is zero-filled).
 ///
 /// This is the *golden* (fault-free) execution used as the reference for
 /// outcome classification.
 ///
 /// # Panics
 ///
-/// Panics if `init_mem` exceeds the program's declared data memory; use
-/// [`try_run`] to get the violation as a value instead.
-pub fn run<I: Isa>(program: &Program<I>, init_mem: &[u64], cfg: &ExecConfig) -> RunResult {
-    match try_run(program, init_mem, cfg) {
-        Ok(result) => result,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible counterpart of [`run`].
-///
-/// # Errors
-///
-/// [`MachineError::InitMemTooLarge`] if `init_mem` exceeds the program's
-/// declared data memory.
-pub fn try_run<I: Isa>(
-    program: &Program<I>,
-    init_mem: &[u64],
-    cfg: &ExecConfig,
-) -> Result<RunResult, MachineError> {
-    Ok(Simulator::try_new(program, init_mem, cfg)?.run())
+/// Panics if `init_mem` exceeds the program's declared data memory; build
+/// the machine with [`Simulator::try_new`] to get the violation as a value
+/// instead.
+pub fn run(program: &Program, init_mem: &[u64], cfg: &ExecConfig) -> RunResult {
+    machine(program, init_mem, cfg).run()
 }
 
 /// Runs `program` with a single-bit upset injected according to `fault`.
 ///
 /// # Panics
 ///
-/// Panics if `init_mem` exceeds the program's declared data memory; use
-/// [`try_run_with_fault`] to get the violation as a value instead.
-pub fn run_with_fault<I: Isa>(
-    program: &Program<I>,
+/// Panics if `init_mem` exceeds the program's declared data memory; build
+/// the machine with [`Simulator::try_new`] and arm it with
+/// [`Simulator::arm_fault`] to get the violation as a value instead.
+pub fn run_with_fault(
+    program: &Program,
     init_mem: &[u64],
     cfg: &ExecConfig,
     fault: &FaultSpec,
 ) -> RunResult {
-    match try_run_with_fault(program, init_mem, cfg, fault) {
-        Ok(result) => result,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible counterpart of [`run_with_fault`].
-///
-/// # Errors
-///
-/// [`MachineError::InitMemTooLarge`] if `init_mem` exceeds the program's
-/// declared data memory.
-pub fn try_run_with_fault<I: Isa>(
-    program: &Program<I>,
-    init_mem: &[u64],
-    cfg: &ExecConfig,
-    fault: &FaultSpec,
-) -> Result<RunResult, MachineError> {
-    let mut sim = Simulator::try_new(program, init_mem, cfg)?;
+    let mut sim = machine(program, init_mem, cfg);
     sim.arm_fault(*fault);
-    Ok(sim.run())
+    sim.run()
 }
 
-/// Like [`try_run`], reporting every retired instruction to `observer` —
-/// the entry point of timing layers that watch execution without touching
-/// it. The returned [`RunResult`] is identical to an unobserved run.
-///
-/// # Errors
-///
-/// [`MachineError::InitMemTooLarge`] if `init_mem` exceeds the program's
-/// declared data memory.
-pub fn try_run_observed<I: Isa, O: StepObserver>(
-    program: &Program<I>,
-    init_mem: &[u64],
-    cfg: &ExecConfig,
-    observer: &mut O,
-) -> Result<RunResult, MachineError> {
-    Ok(Simulator::try_new(program, init_mem, cfg)?.run_observed(observer))
-}
-
-/// Like [`try_run_with_fault`], reporting every retired instruction to
-/// `observer`. Fault semantics are unaffected by observation: the timing
-/// layer's differential tests compare this against the unobserved run
-/// byte-for-byte.
-///
-/// # Errors
-///
-/// [`MachineError::InitMemTooLarge`] if `init_mem` exceeds the program's
-/// declared data memory.
-pub fn try_run_with_fault_observed<I: Isa, O: StepObserver>(
-    program: &Program<I>,
-    init_mem: &[u64],
-    cfg: &ExecConfig,
-    fault: &FaultSpec,
-    observer: &mut O,
-) -> Result<RunResult, MachineError> {
-    let mut sim = Simulator::try_new(program, init_mem, cfg)?;
-    sim.arm_fault(*fault);
-    Ok(sim.run_observed(observer))
+/// A fresh machine for `program`; panics on a malformed benchmark.
+fn machine<'p>(program: &'p Program, init_mem: &[u64], cfg: &ExecConfig) -> Simulator<'p> {
+    Simulator::try_new(program, init_mem, cfg).unwrap_or_else(|e| panic!("{e}"))
 }

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use glaive_isa::{GlaiveIsa, Isa, MachineState, Program, Reg, Step};
+use glaive_isa::{MachineState, Op, Program, Reg, Step, NUM_REGS};
 
 pub use glaive_isa::Trap;
 
@@ -144,20 +144,21 @@ impl StepObserver for () {
 }
 
 /// An interpreter for one program execution, optionally with a single armed
-/// fault. Generic over the instruction-set backend; defaults to
-/// [`GlaiveIsa`].
+/// fault.
 ///
 /// The machine lowers its program once, when it is built, with
-/// [`Isa::lower`], and every run executes the lowered ops.
+/// [`Op::lower`], and every run executes the lowered ops.
 ///
 /// Most callers use the [`run`](crate::run) / [`run_with_fault`](crate::run_with_fault)
 /// convenience functions; a `Simulator` is built directly to reuse one
-/// machine across many faults with [`GoldenTrace::outcome`](crate::GoldenTrace::outcome).
+/// machine across many faults with [`GoldenTrace::outcome`](crate::GoldenTrace::outcome),
+/// to report a malformed benchmark as a value, or to watch a run with
+/// [`Simulator::run_observed`].
 #[derive(Debug, Clone)]
-pub struct Simulator<'p, I: Isa = GlaiveIsa> {
-    program: &'p Program<I>,
-    /// The program lowered for [`Isa::execute`], one op per instruction.
-    ops: Vec<I::Op>,
+pub struct Simulator<'p> {
+    program: &'p Program,
+    /// The program lowered for [`Op::execute`], one op per instruction.
+    ops: Vec<Op>,
     pub(crate) state: MachineState,
     pub(crate) dyn_instrs: u64,
     pub(crate) exec_counts: Vec<u64>,
@@ -169,7 +170,7 @@ pub struct Simulator<'p, I: Isa = GlaiveIsa> {
     pub(crate) shadow: Option<Shadow>,
 }
 
-impl<'p, I: Isa> Simulator<'p, I> {
+impl<'p> Simulator<'p> {
     /// Creates a simulator with memory initialised from `init_mem` (remaining
     /// words zeroed) and all registers zeroed. A malformed benchmark comes
     /// back as a typed [`MachineError`], so supervised pipeline workers can
@@ -180,7 +181,7 @@ impl<'p, I: Isa> Simulator<'p, I> {
     /// [`MachineError::InitMemTooLarge`] if `init_mem` exceeds the program's
     /// declared data memory.
     pub fn try_new(
-        program: &'p Program<I>,
+        program: &'p Program,
         init_mem: &[u64],
         cfg: &ExecConfig,
     ) -> Result<Self, MachineError> {
@@ -194,8 +195,8 @@ impl<'p, I: Isa> Simulator<'p, I> {
         mem[..init_mem.len()].copy_from_slice(init_mem);
         Ok(Simulator {
             program,
-            ops: program.instrs().iter().map(I::lower).collect(),
-            state: MachineState::new(I::NUM_REGS, mem),
+            ops: program.instrs().iter().map(Op::lower).collect(),
+            state: MachineState::new(NUM_REGS, mem),
             dyn_instrs: 0,
             exec_counts: vec![0; program.len()],
             max_instrs: cfg.max_instrs,
@@ -205,8 +206,9 @@ impl<'p, I: Isa> Simulator<'p, I> {
         })
     }
 
-    /// Arms a single-bit upset to be injected during [`Simulator::run`].
-    pub(crate) fn arm_fault(&mut self, fault: FaultSpec) {
+    /// Arms a single-bit upset, injected when the run reaches its dynamic
+    /// instance; it fires at most once.
+    pub fn arm_fault(&mut self, fault: FaultSpec) {
         self.fault = Some(fault);
         self.fault_fired = false;
     }
@@ -306,15 +308,10 @@ impl<'p, I: Isa> Simulator<'p, I> {
     /// Counts, executes and retires the fetched instruction at `pc`;
     /// `Some` when the run stops at it.
     #[inline(always)]
-    fn step<O: StepObserver>(
-        &mut self,
-        observer: &mut O,
-        pc: usize,
-        op: I::Op,
-    ) -> Option<ExitStatus> {
+    fn step<O: StepObserver>(&mut self, observer: &mut O, pc: usize, op: Op) -> Option<ExitStatus> {
         self.exec_counts[pc] += 1;
         self.dyn_instrs += 1;
-        match I::execute(&op, &mut self.state) {
+        match op.execute(&mut self.state) {
             Ok(step) => {
                 observer.on_retire(pc);
                 match step {
@@ -334,23 +331,18 @@ impl<'p, I: Isa> Simulator<'p, I> {
     /// nothing, and the fault still counts as fired.
     #[cold]
     #[inline(never)]
-    fn fire<O: StepObserver>(
-        &mut self,
-        observer: &mut O,
-        pc: usize,
-        op: I::Op,
-    ) -> Option<ExitStatus> {
+    fn fire<O: StepObserver>(&mut self, observer: &mut O, pc: usize, op: Op) -> Option<ExitStatus> {
         let fault = self.fault.expect("fire runs only with a fault armed");
         self.fault_fired = true;
         let instr = &self.program.instrs()[pc];
         let def = match fault.slot {
             OperandSlot::Use(i) => {
-                if let Some(&reg) = I::uses(instr).get(i) {
+                if let Some(&reg) = instr.uses().get(i) {
                     self.flip(reg, fault.bit);
                 }
                 None
             }
-            OperandSlot::Def(i) => I::defs(instr).get(i).copied(),
+            OperandSlot::Def(i) => instr.defs().get(i).copied(),
         };
         let exit = self.step(observer, pc, op);
         if let (Some(reg), None | Some(ExitStatus::Halted)) = (def, exit) {
@@ -363,7 +355,7 @@ impl<'p, I: Isa> Simulator<'p, I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{classify, run, run_with_fault, try_run, Outcome};
+    use crate::{classify, run, run_with_fault, Outcome};
     use glaive_isa::{AluOp, Asm, BranchCond, CvtOp};
 
     fn cfg() -> ExecConfig {
@@ -489,8 +481,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("exceeds program memory"));
-        // The fallible free-function entry point reports the same error.
-        assert_eq!(try_run(&p, &[1, 2], &cfg()), Err(err));
     }
 
     #[test]
@@ -708,7 +698,8 @@ mod tests {
         let p = sum_program();
         let golden = run(&p, &[], &cfg());
         let mut log = RetireLog { n: 0, pcs: vec![] };
-        let observed = crate::try_run_observed(&p, &[], &cfg(), &mut log).expect("well-formed");
+        let mut sim = Simulator::try_new(&p, &[], &cfg()).expect("well-formed");
+        let observed = sim.run_observed(&mut log);
         // Observation is invisible to the architectural result…
         assert_eq!(observed, golden);
         // …and complete: every dynamic instruction of a clean run retires.
@@ -726,7 +717,8 @@ mod tests {
         asm.halt();
         let p = asm.finish().expect("resolves");
         let mut log = RetireLog { n: 0, pcs: vec![] };
-        let r = crate::try_run_observed(&p, &[], &cfg(), &mut log).expect("well-formed");
+        let mut sim = Simulator::try_new(&p, &[], &cfg()).expect("well-formed");
+        let r = sim.run_observed(&mut log);
         assert!(matches!(r.status, ExitStatus::Trapped(_)));
         // The li retires; the trapping load is counted but never observed.
         assert_eq!(r.dyn_instrs, 2);
@@ -744,8 +736,9 @@ mod tests {
         };
         let plain = run_with_fault(&p, &[], &cfg(), &f);
         let mut log = RetireLog { n: 0, pcs: vec![] };
-        let observed =
-            crate::try_run_with_fault_observed(&p, &[], &cfg(), &f, &mut log).expect("well-formed");
+        let mut sim = Simulator::try_new(&p, &[], &cfg()).expect("well-formed");
+        sim.arm_fault(f);
+        let observed = sim.run_observed(&mut log);
         assert_eq!(observed, plain);
         assert_eq!(log.n, plain.dyn_instrs);
     }

@@ -9,7 +9,7 @@
 //! §3 states the equality rule and why an early Masked is the outcome a
 //! replay from instruction 0 reports.
 
-use glaive_isa::{Isa, Program};
+use glaive_isa::{Program, NUM_REGS};
 
 use crate::fault::FaultSpec;
 use crate::machine::{ExecConfig, MachineError, RunResult, Simulator};
@@ -83,15 +83,15 @@ pub(crate) struct Shadow {
 }
 
 impl GoldenTrace {
-    /// Runs `program` without a fault, as [`try_run`](crate::try_run)
-    /// does, and records the run's trace.
+    /// Runs `program` without a fault, as [`run`](crate::run) does, and
+    /// records the run's trace.
     ///
     /// # Errors
     ///
     /// [`MachineError::InitMemTooLarge`] if `init_mem` exceeds the
     /// program's declared data memory.
-    pub fn record<I: Isa>(
-        program: &Program<I>,
+    pub fn record(
+        program: &Program,
         init_mem: &[u64],
         cfg: &ExecConfig,
     ) -> Result<(RunResult, GoldenTrace), MachineError> {
@@ -107,8 +107,8 @@ impl GoldenTrace {
     /// One golden run with a snapshot every `interval` instructions; the
     /// flag is `false` when the run outlasted [`MAX_SNAPSHOTS`] of them, and
     /// the trace then ends at the last one.
-    fn record_every<I: Isa>(
-        program: &Program<I>,
+    fn record_every(
+        program: &Program,
         init_mem: &[u64],
         cfg: &ExecConfig,
         interval: u64,
@@ -118,7 +118,7 @@ impl GoldenTrace {
             interval,
             snaps: Vec::new(),
             regs: Vec::new(),
-            num_regs: I::NUM_REGS,
+            num_regs: NUM_REGS,
             counts: Vec::new(),
             prog_len: program.len(),
             writes: Vec::new(),
@@ -146,7 +146,7 @@ impl GoldenTrace {
 
     /// Appends the machine's state as the next snapshot; its write log
     /// becomes the snapshot's memory diff.
-    fn push<I: Isa>(&mut self, sim: &mut Simulator<'_, I>) {
+    fn push(&mut self, sim: &mut Simulator<'_>) {
         let state = &mut sim.state;
         self.writes
             .extend(state.write_log().iter().map(|&(addr, before)| Write {
@@ -206,7 +206,7 @@ impl GoldenTrace {
     /// and per-PC counts, output and memory — and disarms its fault. Only
     /// the words written since the machine's last restore are reverted,
     /// then the golden diffs between the two snapshots are applied.
-    pub(crate) fn restore<I: Isa>(&self, sim: &mut Simulator<'_, I>, to: usize) {
+    pub(crate) fn restore(&self, sim: &mut Simulator<'_>, to: usize) {
         let state = &mut sim.state;
         for i in 0..state.write_log().len() {
             let (addr, before) = state.write_log()[i];
@@ -245,7 +245,7 @@ impl GoldenTrace {
     /// value in every word it wrote or golden wrote since its restore.
     /// Every other word still holds the restore snapshot's golden value,
     /// which golden has not changed either.
-    fn converged<I: Isa>(&self, sim: &mut Simulator<'_, I>, j: usize) -> bool {
+    fn converged(&self, sim: &mut Simulator<'_>, j: usize) -> bool {
         let (state, Some(shadow)) = (&sim.state, sim.shadow.as_mut()) else {
             return false;
         };
@@ -278,7 +278,7 @@ impl GoldenTrace {
     /// snapshot before the fault fires and run from there; once the fault
     /// has fired, the run stops as Masked at the first later snapshot whose
     /// state it matches. The budget still counts from instruction 0.
-    pub fn outcome<I: Isa>(&self, sim: &mut Simulator<'_, I>, fault: &FaultSpec) -> Outcome {
+    pub fn outcome(&self, sim: &mut Simulator<'_>, fault: &FaultSpec) -> Outcome {
         let start = self.start_for(fault);
         self.restore(sim, start);
         sim.arm_fault(*fault);
@@ -332,13 +332,13 @@ mod tests {
         asm.finish().expect("resolves")
     }
 
-    fn faults_of<I: Isa>(p: &Program<I>, golden: &RunResult) -> Vec<FaultSpec> {
+    fn faults_of(p: &Program, golden: &RunResult) -> Vec<FaultSpec> {
         let mut faults = Vec::new();
         for (pc, instr) in p.instrs().iter().enumerate() {
             let count = golden.exec_counts[pc];
-            let slots = (0..I::uses(instr).len())
+            let slots = (0..instr.uses().len())
                 .map(OperandSlot::Use)
-                .chain((0..I::defs(instr).len()).map(OperandSlot::Def));
+                .chain((0..instr.defs().len()).map(OperandSlot::Def));
             for slot in slots {
                 for bit in [0, 1, 3, 9, 40, 63] {
                     for instance in [0, count / 3, count.saturating_sub(1)] {
@@ -357,7 +357,7 @@ mod tests {
 
     /// Every fault's outcome on one reused machine equals a replay from
     /// instruction 0; returns how many runs stopped early.
-    fn assert_matches_replay<I: Isa>(p: &Program<I>, init: &[u64]) -> usize {
+    fn assert_matches_replay(p: &Program, init: &[u64]) -> usize {
         let cfg = ExecConfig::default();
         let (golden, trace) = GoldenTrace::record(p, init, &cfg).expect("well-formed");
         assert_eq!(

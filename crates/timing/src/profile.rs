@@ -1,5 +1,5 @@
-use glaive_isa::{Isa, Program, Reg};
-use glaive_sim::{ExecConfig, MachineError, RunResult, StepObserver};
+use glaive_isa::{Program, Reg, NUM_REGS};
+use glaive_sim::{ExecConfig, MachineError, RunResult, Simulator, StepObserver};
 
 use crate::cost::CycleModel;
 
@@ -89,18 +89,18 @@ pub struct TimingObserver {
 
 impl TimingObserver {
     /// Creates an observer that prices `program` under `model`.
-    pub fn new<I: Isa, M: CycleModel>(model: M, program: &Program<I>) -> Self {
+    pub fn new<M: CycleModel>(model: M, program: &Program) -> Self {
         let mut operands = Vec::new();
         let statics = program
             .instrs()
             .iter()
             .map(|instr| {
-                let (uses, defs) = (I::uses(instr), I::defs(instr));
+                let (uses, defs) = (instr.uses(), instr.defs());
                 let first = operands.len();
                 operands.extend(uses.iter().chain(&defs));
                 Static {
                     latency: model
-                        .latency(I::opcode_class(instr), I::mem_access(instr))
+                        .latency(instr.opcode().class(), instr.mem_access())
                         .max(1),
                     first,
                     uses: uses.len(),
@@ -114,8 +114,8 @@ impl TimingObserver {
             cursor: 0,
             total: 0,
             retired: 0,
-            ready: vec![0; I::NUM_REGS],
-            live: vec![None; I::NUM_REGS],
+            ready: vec![0; NUM_REGS],
+            live: vec![None; NUM_REGS],
             per_pc: vec![PcTiming::default(); program.len()],
         }
     }
@@ -196,14 +196,14 @@ impl StepObserver for TimingObserver {
 ///
 /// [`MachineError::InitMemTooLarge`] if `init_mem` exceeds the program's
 /// declared data memory.
-pub fn try_profile<I: Isa, M: CycleModel>(
-    program: &Program<I>,
+pub fn try_profile<M: CycleModel>(
+    program: &Program,
     init_mem: &[u64],
     cfg: &ExecConfig,
     model: M,
 ) -> Result<(RunResult, TimingProfile), MachineError> {
     let mut observer = TimingObserver::new(model, program);
-    let result = glaive_sim::try_run_observed(program, init_mem, cfg, &mut observer)?;
+    let result = Simulator::try_new(program, init_mem, cfg)?.run_observed(&mut observer);
     Ok((result, observer.finish()))
 }
 

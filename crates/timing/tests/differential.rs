@@ -11,8 +11,8 @@
 
 use glaive_bench_suite::suite;
 use glaive_faultsim::{BitSite, Campaign, CampaignConfig, GroundTruth, InjectionRecord};
-use glaive_isa::{Isa, Program};
-use glaive_sim::{classify, try_run_with_fault_observed, ExecConfig};
+use glaive_isa::Program;
+use glaive_sim::{classify, ExecConfig, Simulator};
 use glaive_timing::{try_profile, InOrderCost, TimingObserver, TimingProfile};
 
 /// Campaign parameters kept small enough for a tier-1 test: every
@@ -31,8 +31,8 @@ fn config(hang_factor: u64) -> CampaignConfig {
 /// path (timing off), once rebuilt simulation-by-simulation with a timing
 /// observer attached to every run (timing on). Returns both byte streams
 /// plus the golden profile for sanity checks.
-fn run_both<I: Isa>(
-    program: &Program<I>,
+fn run_both(
+    program: &Program,
     init_mem: &[u64],
     hang_factor: u64,
 ) -> (Vec<u8>, Vec<u8>, TimingProfile) {
@@ -64,9 +64,9 @@ fn run_both<I: Isa>(
             }
         }
         let mut observer = TimingObserver::new(InOrderCost::default(), program);
-        let faulty =
-            try_run_with_fault_observed(program, init_mem, &plan.fault_cfg, spec, &mut observer)
-                .expect("well-formed");
+        let mut sim = Simulator::try_new(program, init_mem, &plan.fault_cfg).expect("well-formed");
+        sim.arm_fault(*spec);
+        let faulty = sim.run_observed(&mut observer);
         records.push(InjectionRecord {
             site: BitSite {
                 pc: spec.pc,

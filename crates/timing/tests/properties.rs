@@ -8,7 +8,7 @@
 //!
 //! The generator is a fixed-seed LCG, so failures replay deterministically.
 
-use glaive_isa::{AluOp, Asm, Isa, Program, Reg};
+use glaive_isa::{AluOp, Asm, Program, Reg};
 use glaive_sim::ExecConfig;
 use glaive_timing::{try_profile, CycleModel, InOrderCost, UnitCost};
 
@@ -97,7 +97,7 @@ fn isa_a_program(ops: &[Op], k: usize) -> Program {
     asm.finish().expect("straight-line code resolves")
 }
 
-fn check_monotone_and_unit_identity<I: Isa>(programs: &[Program<I>], label: &str) {
+fn check_monotone_and_unit_identity(programs: &[Program], label: &str) {
     let cfg = ExecConfig::default();
     let models: [&dyn CycleModel; 2] = [&UnitCost, &InOrderCost::default()];
     for (m, model) in models.iter().enumerate() {

@@ -28,7 +28,9 @@
 //!
 //! Multi-byte integers are little-endian throughout; strings are
 //! length-prefixed UTF-8; floating-point values travel as bit patterns, so
-//! a decoded value is bit-identical to the encoded one.
+//! a decoded value is bit-identical to the encoded one. Programs travel as
+//! their name, data-memory size and fixed-width instruction encodings
+//! ([`FrameBuilder::program`], [`Reader::program`]).
 //!
 //! Transport comes in two shapes. [`FrameReader`] and [`FrameWriter`] are
 //! the readiness-driven core: incremental state machines that own reusable
@@ -43,6 +45,8 @@ use std::fmt;
 use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+use glaive_isa::{Instr, Program, INSTR_ENCODING_LEN};
 
 pub mod backoff;
 pub mod chaos;
@@ -80,6 +84,11 @@ impl Timeouts for TcpStream {
 /// before any allocation (a corrupted or hostile length prefix must not
 /// OOM the receiver).
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
+
+/// Most bytes of a program name in a frame.
+const PROGRAM_NAME_CAP: usize = 1 << 12;
+/// Most instructions of a program in a frame.
+const PROGRAM_INSTR_CAP: usize = 1 << 20;
 
 /// Typed decode/transport failure. Every malformed input maps here — the
 /// protocol layer never panics on wire bytes.
@@ -224,6 +233,18 @@ impl FrameBuilder {
         self
     }
 
+    /// Appends a program: its name, data-memory size as a `u64`, a `u32`
+    /// instruction count, then each instruction's fixed-width encoding.
+    pub fn program(&mut self, program: &Program) -> &mut FrameBuilder {
+        self.str(program.name())
+            .u64(program.mem_words() as u64)
+            .u32(program.len() as u32);
+        for instr in program.instrs() {
+            self.raw(&instr.encode());
+        }
+        self
+    }
+
     /// Seals the frame: appends the FNV-1a digest of everything written so
     /// far (magic included) and freezes the bytes.
     pub fn seal(self) -> Frame {
@@ -353,6 +374,39 @@ impl<'a> Reader<'a> {
         }
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::Corrupt("non-UTF-8 string"))
+    }
+
+    /// Reads a program written by [`FrameBuilder::program`], with at most
+    /// 4 KiB of name and 2²⁰ instructions.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Corrupt`] for an over-cap name or instruction
+    /// count, an undecodable instruction, or instructions that do not form
+    /// a valid [`Program`] (a checksummed frame can still carry a dangling
+    /// branch target); [`ProtocolError::Truncated`] when the body ends
+    /// early.
+    pub fn program(&mut self) -> Result<Program, ProtocolError> {
+        let name = self.string(PROGRAM_NAME_CAP)?;
+        let mem_words = usize::try_from(self.u64()?)
+            .map_err(|_| ProtocolError::Corrupt("mem_words overflows usize"))?;
+        let count = self.u32()? as usize;
+        if count > PROGRAM_INSTR_CAP {
+            return Err(ProtocolError::Corrupt("instruction count exceeds cap"));
+        }
+        let mut instrs = Vec::with_capacity(count.min(self.remaining() / INSTR_ENCODING_LEN + 1));
+        for _ in 0..count {
+            let bytes = self.take(INSTR_ENCODING_LEN)?;
+            let bytes = bytes
+                .try_into()
+                .expect("take returned the requested length");
+            instrs.push(
+                Instr::decode(bytes)
+                    .map_err(|_| ProtocolError::Corrupt("undecodable instruction"))?,
+            );
+        }
+        Program::try_new(name, instrs, mem_words)
+            .map_err(|_| ProtocolError::Corrupt("invalid program"))
     }
 
     /// Rejects trailing garbage after a fully decoded body.
