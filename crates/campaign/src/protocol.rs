@@ -535,6 +535,34 @@ mod tests {
         );
     }
 
+    /// A worker allocates a `Welcome` program's declared memory for its
+    /// campaign, so the decoder caps it before anything is allocated.
+    #[test]
+    fn oversized_declared_memory_in_welcome_is_typed_error() {
+        let frame = |mem_words: u64| {
+            let mut b = FrameBuilder::new(MAGIC);
+            b.u8(OP_R_WELCOME);
+            for v in [1u64, 128, 8, 1, 4] {
+                b.u64(v);
+            }
+            b.u8(1) // predict_dead_defs
+                .str("huge")
+                .u64(mem_words)
+                .u32(1) // instruction count
+                .raw(&glaive_isa::Instr::Halt.encode())
+                .u32(0); // init_mem
+            ToWorker::from_frame(b.seal().bytes())
+        };
+        assert!(frame(1 << 22).is_ok(), "the cap itself is accepted");
+        for mem_words in [(1 << 22) + 1, 1 << 40, u64::MAX] {
+            assert_eq!(
+                frame(mem_words),
+                Err(ProtocolError::Corrupt("mem_words exceeds cap")),
+                "{mem_words}"
+            );
+        }
+    }
+
     #[test]
     fn sub_seed_depends_on_fingerprint_and_chunk() {
         let a = chunk_sub_seed(1, 0);

@@ -5,8 +5,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use glaive::telemetry::{Fanout, Observer, StderrProgress, TimingRecorder};
-use glaive::{train_models, truth_key, ArtifactCache, Pipeline, PipelineConfig, QuorumPolicy};
+use glaive::telemetry::{Fanout, Observer, Stage, StderrProgress, TimingRecorder};
+use glaive::{train_glaive, truth_key, ArtifactCache, Pipeline, PipelineConfig, QuorumPolicy};
 use glaive_bench_suite::{suite, Benchmark};
 use glaive_campaign::{run_worker_with, Coordinator, FabricConfig, FabricError, WorkerOptions};
 use glaive_cdfg::{Cdfg, CdfgConfig};
@@ -557,7 +557,7 @@ fn cmd_train(out: &str, names: &str, flags: &Flags) -> CliResult {
     } else {
         Arc::new(Fanout(vec![recorder.clone()]))
     };
-    let mut builder = Pipeline::builder(config).observer(observer);
+    let mut builder = Pipeline::builder(config).observer(observer.clone());
     if !flags.no_cache {
         builder = builder.default_cache();
     }
@@ -576,8 +576,16 @@ fn cmd_train(out: &str, names: &str, flags: &Flags) -> CliResult {
     let train = report.take_prepared();
     let refs: Vec<&_> = train.iter().collect();
     eprintln!("training GLAIVE on {} benchmarks...", refs.len());
-    let models = train_models(&refs, &config);
-    let bytes = models.glaive_model().to_bytes();
+    let subject = refs
+        .iter()
+        .map(|d| d.bench.name)
+        .collect::<Vec<_>>()
+        .join(",");
+    observer.stage_started(Stage::Training, &subject);
+    let t0 = Instant::now();
+    let model = train_glaive(&refs, &config);
+    observer.stage_finished(Stage::Training, &subject, t0.elapsed(), refs.len() as u64);
+    let bytes = model.to_bytes();
     std::fs::write(out, &bytes)?;
     if flags.verbose {
         eprint!("{}", recorder.summary());

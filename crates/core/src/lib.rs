@@ -68,7 +68,7 @@ pub use data::{
     residency_from_profile, train_set, BenchData,
 };
 pub use error::Error;
-pub use models::{aggregate_bit_probs, train_models, Method, Models};
+pub use models::{aggregate_bit_probs, train_glaive, train_models, Method, Models};
 pub use pipeline::{BenchOutcome, Pipeline, PipelineBuilder, SuiteReport};
 pub use truth_source::{campaign_error_to_pipeline, LocalTruthSource, TruthSource};
 

@@ -78,6 +78,31 @@ pub fn train_models(train: &[&BenchData], config: &PipelineConfig) -> Models {
     train_models_with(train, config, None)
 }
 
+/// Trains the GLAIVE GraphSAGE alone — the model `glaive-cli train`
+/// ships — on one labelled graph per benchmark with predecessor
+/// aggregation; bit-identical to [`Models::glaive_model`] of a
+/// [`train_models`] call on the same inputs.
+///
+/// # Panics
+///
+/// Panics if `train` is empty.
+pub fn train_glaive(train: &[&BenchData], config: &PipelineConfig) -> GraphSage {
+    assert!(!train.is_empty(), "training set is empty");
+    let graphs: Vec<TrainGraph<'_>> = train
+        .iter()
+        .map(|d| TrainGraph {
+            features: &d.features,
+            graph: &d.preds,
+            labels: &d.labels,
+            mask: &d.mask,
+        })
+        .collect();
+    let mut glaive =
+        GraphSage::try_new(train[0].features.cols(), &config.sage).expect("valid model config");
+    glaive.train_with_threads(&graphs, config.train_threads);
+    glaive
+}
+
 /// Like [`train_models`], but reusing an already-trained GLAIVE GraphSAGE
 /// (from the artifact cache) instead of training one. The cheap baselines
 /// are always retrained — only the GNN is worth caching.
@@ -88,22 +113,7 @@ pub(crate) fn train_models_with(
 ) -> Models {
     assert!(!train.is_empty(), "training set is empty");
     let feature_dim = train[0].features.cols();
-
-    // GLAIVE: one labelled graph per benchmark, predecessor aggregation.
-    let glaive = pretrained_glaive.unwrap_or_else(|| {
-        let graphs: Vec<TrainGraph<'_>> = train
-            .iter()
-            .map(|d| TrainGraph {
-                features: &d.features,
-                graph: &d.preds,
-                labels: &d.labels,
-                mask: &d.mask,
-            })
-            .collect();
-        let mut glaive = GraphSage::try_new(feature_dim, &config.sage).expect("valid model config");
-        glaive.train_with_threads(&graphs, config.train_threads);
-        glaive
-    });
+    let glaive = pretrained_glaive.unwrap_or_else(|| train_glaive(train, config));
 
     // Vanilla ablation: identical except for symmetrised neighbourhoods.
     let vanilla = config.train_vanilla.then(|| {

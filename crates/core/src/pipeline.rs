@@ -1056,9 +1056,7 @@ mod tests {
             crate::data::prepare_benchmark(sobel::build(1), &serial_cfg),
         ];
         let refs: Vec<&BenchData> = prepared.iter().collect();
-        let serial_model = crate::models::train_models(&refs, &serial_cfg)
-            .glaive_model()
-            .to_bytes();
+        let serial_model = crate::models::train_glaive(&refs, &serial_cfg).to_bytes();
 
         // Train 4-threaded on a pipeline cancelled mid-campaign: the
         // interruption leaves a checkpoint behind...
@@ -1095,9 +1093,7 @@ mod tests {
         // serial model bytes exactly.
         let threaded_prepared = [resumed, prepared[1].clone()];
         let threaded_refs: Vec<&BenchData> = threaded_prepared.iter().collect();
-        let threaded_model = crate::models::train_models(&threaded_refs, &threaded_cfg)
-            .glaive_model()
-            .to_bytes();
+        let threaded_model = crate::models::train_glaive(&threaded_refs, &threaded_cfg).to_bytes();
         assert_eq!(
             threaded_model, serial_model,
             "4-thread training diverged from serial"

@@ -2,12 +2,13 @@
 //!
 //! All kernels operate on flat [`CsrView`] ranges — contiguous `&[u32]`
 //! neighbour slices — so the inner loops are allocation-free and touch
-//! memory sequentially. The forward mean-aggregate is row-blocked across
-//! std scoped threads for large graphs (each output row depends only on
-//! the shared input matrix, so the split is deterministic); the backward
-//! scatter stays serial because different source rows accumulate into the
-//! same destination rows and the summation order is part of the
-//! reproducibility contract.
+//! memory sequentially, and they write into caller-owned matrices, which
+//! a trainer reuses across epochs. The forward mean-aggregate is
+//! row-blocked across std scoped threads for large graphs (each output
+//! row depends only on the shared input matrix, so the split is
+//! deterministic); the backward scatter stays serial because different
+//! source rows accumulate into the same destination rows and the
+//! summation order is part of the reproducibility contract.
 
 use glaive_graph::{CsrGraph, CsrView};
 use glaive_nn::{DetRng, Linear, LinearGrads, Matrix};
@@ -16,9 +17,9 @@ use glaive_nn::{DetRng, Linear, LinearGrads, Matrix};
 /// it saves and the serial path runs instead.
 const PARALLEL_WORK_THRESHOLD: usize = 1 << 18;
 
-/// Mean-aggregates `h` over each node's neighbourhood: row `v` of the
-/// result is the mean of `h`'s rows listed in `graph.neighbors(v)`; nodes
-/// without neighbours aggregate to zero.
+/// Mean-aggregates `h` over each node's neighbourhood into `out`: row `v`
+/// is the mean of `h`'s rows listed in `graph.neighbors(v)`; nodes without
+/// neighbours aggregate to zero.
 ///
 /// Rows are accumulated in CSR order, so the result is bit-identical
 /// regardless of how many threads run — threads split the *output* rows,
@@ -27,14 +28,14 @@ const PARALLEL_WORK_THRESHOLD: usize = 1 << 18;
 /// # Panics
 ///
 /// Panics if `graph` has a different node count than `h` has rows.
-pub fn mean_aggregate(h: &Matrix, graph: CsrView<'_>) -> Matrix {
+pub fn mean_aggregate(h: &Matrix, graph: CsrView<'_>, out: &mut Matrix) {
     assert_eq!(
         h.rows(),
         graph.node_count(),
         "feature/neighbour count mismatch"
     );
     let cols = h.cols();
-    let mut out = Matrix::zeros(h.rows(), cols);
+    out.reset_zeros(h.rows(), cols);
     let work = graph.edge_count() * cols;
     let threads = if work < PARALLEL_WORK_THRESHOLD {
         1
@@ -45,7 +46,7 @@ pub fn mean_aggregate(h: &Matrix, graph: CsrView<'_>) -> Matrix {
     };
     if threads <= 1 || out.rows() <= 1 {
         aggregate_rows(h, graph, 0, out.data_mut());
-        return out;
+        return;
     }
     let rows_per = out.rows().div_ceil(threads);
     std::thread::scope(|scope| {
@@ -53,7 +54,6 @@ pub fn mean_aggregate(h: &Matrix, graph: CsrView<'_>) -> Matrix {
             scope.spawn(move || aggregate_rows(h, graph, block * rows_per, chunk));
         }
     });
-    out
 }
 
 /// Fills one contiguous block of output rows, starting at node `start`.
@@ -104,36 +104,46 @@ pub fn scatter_mean_backward(d_agg: &Matrix, graph: CsrView<'_>, d_h: &mut Matri
 
 /// Fused GraphSAGE layer forward: aggregate → concat → linear without ever
 /// materialising the concatenated `[h ‖ agg]` matrix (the linear layer
-/// reads both halves in place via [`Linear::forward_concat`]). Returns
-/// `(agg, pre_activation)` — both are needed by the backward pass.
+/// reads both halves in place via [`Linear::forward_concat`]). Writes the
+/// aggregate into `agg` and the pre-activation into `pre` — the backward
+/// pass needs both.
 ///
-/// Bit-identical to `layer.forward(&h.hconcat(&mean_aggregate(h, neigh)))`:
-/// the fused matmul walks the virtual concatenation in the same
-/// element order.
-pub fn sage_forward_fused(layer: &Linear, h: &Matrix, neigh: CsrView<'_>) -> (Matrix, Matrix) {
-    let agg = mean_aggregate(h, neigh);
-    let pre = layer.forward_concat(h, &agg);
-    (agg, pre)
+/// Bit-identical to [`mean_aggregate`] followed by [`Linear::forward`] on
+/// `h.hconcat(agg)`: the fused matmul walks the virtual concatenation in
+/// the same element order.
+pub fn sage_forward_fused(
+    layer: &Linear,
+    h: &Matrix,
+    neigh: CsrView<'_>,
+    agg: &mut Matrix,
+    pre: &mut Matrix,
+) {
+    mean_aggregate(h, neigh, agg);
+    layer.forward_concat(h, agg, pre);
 }
 
 /// Fused GraphSAGE layer backward: splits the pre-activation gradient into
 /// its self/aggregate halves inside the matmul (no materialised `d_z`, no
-/// `hsplit` copy) and scatters the aggregate half back through the mean
-/// onto the neighbours. Returns `(d_h, parameter_grads)` where `d_h`
-/// already contains both the direct and the scattered contribution.
+/// `hsplit` copy) and scatters the aggregate half, written to the scratch
+/// `d_agg`, back through the mean onto the neighbours. `d_h` receives
+/// both the direct and the scattered contribution, `grads` the parameter
+/// gradients.
 ///
-/// Bit-identical to the unfused `backward` + `hsplit` +
+/// Bit-identical to the unfused [`Linear::backward`] + `hsplit` +
 /// [`scatter_mean_backward`] sequence.
+#[allow(clippy::too_many_arguments)]
 pub fn sage_backward_fused(
     layer: &Linear,
     h: &Matrix,
     agg: &Matrix,
     neigh: CsrView<'_>,
     d_pre: &Matrix,
-) -> (Matrix, LinearGrads) {
-    let (mut d_h, d_agg, grads) = layer.backward_concat(h, agg, d_pre);
-    scatter_mean_backward(&d_agg, neigh, &mut d_h);
-    (d_h, grads)
+    d_h: &mut Matrix,
+    d_agg: &mut Matrix,
+    grads: &mut LinearGrads,
+) {
+    layer.backward_concat(h, agg, d_pre, d_h, d_agg, grads);
+    scatter_mean_backward(d_agg, neigh, d_h);
 }
 
 /// A reusable neighbour-sampling workspace: the sampled neighbourhood of a
@@ -221,7 +231,8 @@ mod tests {
             ],
         );
         let h = Matrix::from_vec(3, 2, vec![2.0, 4.0, 6.0, 8.0, 1.0, 1.0]);
-        let agg = mean_aggregate(&h, g.view());
+        let mut agg = Matrix::default();
+        mean_aggregate(&h, g.view(), &mut agg);
         assert_eq!(agg.row(0), &[0.0, 0.0]);
         assert_eq!(agg.row(1), &[2.0, 4.0]);
         assert_eq!(agg.row(2), &[4.0, 6.0]);
@@ -241,7 +252,8 @@ mod tests {
         );
         let h = Matrix::from_fn(6, 3, |_, _| rng.uniform(-1.0, 1.0));
         let grad = Matrix::from_fn(6, 3, |_, _| rng.uniform(-1.0, 1.0));
-        let agg = mean_aggregate(&h, g.view());
+        let mut agg = Matrix::default();
+        mean_aggregate(&h, g.view(), &mut agg);
         let mut scattered = Matrix::zeros(6, 3);
         scatter_mean_backward(&grad, g.view(), &mut scattered);
         let lhs: f32 = agg.data().iter().zip(grad.data()).map(|(a, b)| a * b).sum();
@@ -330,17 +342,31 @@ mod tests {
         let layer = Linear::glorot(10, 4, &mut rng);
         let d_pre = Matrix::from_fn(9, 4, |_, _| rng.uniform(-1.0, 1.0));
 
-        let (agg, pre) = sage_forward_fused(&layer, &h, g.view());
-        let agg_ref = mean_aggregate(&h, g.view());
+        let (mut agg, mut pre) = (Matrix::default(), Matrix::default());
+        sage_forward_fused(&layer, &h, g.view(), &mut agg, &mut pre);
+        let (mut agg_ref, mut pre_ref) = (Matrix::default(), Matrix::default());
+        mean_aggregate(&h, g.view(), &mut agg_ref);
         let z = h.hconcat(&agg_ref);
-        let pre_ref = layer.forward(&z);
+        layer.forward(&z, &mut pre_ref);
         assert_eq!(agg.data(), agg_ref.data());
         for (a, b) in pre.data().iter().zip(pre_ref.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 
-        let (d_h, grads) = sage_backward_fused(&layer, &h, &agg, g.view(), &d_pre);
-        let (d_z, grads_ref) = layer.backward(&z, &d_pre);
+        let (mut d_h, mut scratch) = (Matrix::default(), Matrix::default());
+        let mut grads = LinearGrads::default();
+        sage_backward_fused(
+            &layer,
+            &h,
+            &agg,
+            g.view(),
+            &d_pre,
+            &mut d_h,
+            &mut scratch,
+            &mut grads,
+        );
+        let (mut d_z, mut grads_ref) = (Matrix::default(), LinearGrads::default());
+        layer.backward(&z, &d_pre, &mut d_z, &mut grads_ref);
         let (d_self, d_agg) = d_z.hsplit(5);
         let mut d_h_ref = d_self;
         scatter_mean_backward(&d_agg, g.view(), &mut d_h_ref);
@@ -367,7 +393,8 @@ mod tests {
             }),
         );
         let h = Matrix::from_fn(n, 64, |_, _| rng.uniform(-1.0, 1.0));
-        let fast = mean_aggregate(&h, g.view());
+        let mut fast = Matrix::default();
+        mean_aggregate(&h, g.view(), &mut fast);
         let mut slow = Matrix::zeros(n, 64);
         aggregate_rows(&h, g.view(), 0, slow.data_mut());
         assert_eq!(fast.data(), slow.data());

@@ -1,6 +1,7 @@
 use glaive_graph::{CsrGraph, CsrView};
 use glaive_nn::{
-    relu, relu_backward, softmax_cross_entropy, softmax_rows, Adam, DetRng, Linear, Matrix,
+    relu, relu_backward, softmax_cross_entropy, softmax_rows, Adam, DetRng, Linear, LinearGrads,
+    Matrix,
 };
 
 use crate::kernels::{sage_backward_fused, sage_forward_fused, SampledCsr};
@@ -210,34 +211,67 @@ impl GraphSage {
         })
     }
 
-    /// Full forward pass over the given neighbourhood view through the
-    /// fused aggregate→concat→linear kernel (the concatenated `[h ‖ agg]`
-    /// matrix is never materialised); returns per-layer caches for
-    /// backprop: `(layer inputs h_k, aggregates, pre-activations, final
-    /// logits)`.
-    #[allow(clippy::type_complexity)]
-    fn forward(
-        &self,
-        features: &Matrix,
-        neigh: CsrView<'_>,
-    ) -> (Vec<Matrix>, Vec<Matrix>, Vec<Matrix>, Matrix) {
-        let mut h = features.clone();
-        let mut hs = Vec::with_capacity(self.layers.len());
-        let mut aggs = Vec::with_capacity(self.layers.len());
-        let mut pres = Vec::with_capacity(self.layers.len());
+    /// Full forward pass over the given neighbourhood view into `ws`,
+    /// through the fused aggregate→concat→linear kernel (the concatenated
+    /// `[h ‖ agg]` matrix is never materialised). The first layer reads
+    /// `features` in place; each layer's aggregate lands in `ws.aggs`, each
+    /// hidden layer's output in `ws.hidden` and the logits in `ws.logits`.
+    fn forward(&self, features: &Matrix, neigh: CsrView<'_>, ws: &mut Workspace) {
+        let last = self.layers.len() - 1;
+        ws.hidden.resize_with(last, Matrix::default);
+        ws.aggs.resize_with(last + 1, Matrix::default);
         for (l, layer) in self.layers.iter().enumerate() {
-            let (agg, pre) = sage_forward_fused(layer, &h, neigh);
-            let out = if l + 1 == self.layers.len() {
-                pre.clone()
+            let (inputs, outputs) = ws.hidden.split_at_mut(l);
+            let h = if l == 0 { features } else { &inputs[l - 1] };
+            if l == last {
+                sage_forward_fused(layer, h, neigh, &mut ws.aggs[l], &mut ws.logits);
             } else {
-                relu(&pre)
-            };
-            hs.push(h);
-            aggs.push(agg);
-            pres.push(pre);
-            h = out;
+                sage_forward_fused(layer, h, neigh, &mut ws.aggs[l], &mut outputs[0]);
+                relu(&mut outputs[0]);
+            }
         }
-        (hs, aggs, pres, h)
+    }
+
+    /// Loss and per-layer gradients for one graph under the given
+    /// neighbourhood view: the forward pass into `ws`, then the backward
+    /// pass, which writes layer `l`'s parameter gradients into `grads[l]`.
+    fn backprop(
+        &self,
+        graph: &TrainGraph<'_>,
+        neigh: CsrView<'_>,
+        ws: &mut Workspace,
+        grads: &mut [LinearGrads],
+    ) -> f32 {
+        self.forward(graph.features, neigh, ws);
+        let loss = softmax_cross_entropy(&mut ws.logits, graph.labels, Some(graph.mask));
+
+        // Backwards through the layers, fused: the [h ‖ agg] gradient is
+        // split inside the matmul and the aggregate half scattered back
+        // through the mean, with no concatenated intermediate.
+        let last = self.layers.len() - 1;
+        ws.d_hidden.resize_with(last, Matrix::default);
+        for l in (1..=last).rev() {
+            let (d_inputs, d_outputs) = ws.d_hidden.split_at_mut(l);
+            let d_pre = if l == last { &ws.logits } else { &d_outputs[0] };
+            let h = &ws.hidden[l - 1];
+            let d_h = &mut d_inputs[l - 1];
+            sage_backward_fused(
+                &self.layers[l],
+                h,
+                &ws.aggs[l],
+                neigh,
+                d_pre,
+                d_h,
+                &mut ws.d_agg,
+                &mut grads[l],
+            );
+            relu_backward(h, d_h);
+        }
+        // The raw features are not differentiated: the first layer
+        // computes its parameter gradients only.
+        let d_pre = ws.d_hidden.first().unwrap_or(&ws.logits);
+        self.layers[0].grads_concat(graph.features, &ws.aggs[0], d_pre, &mut grads[0]);
+        loss
     }
 
     /// Loss and per-layer gradients for one graph under the given sampled
@@ -248,35 +282,10 @@ impl GraphSage {
         &self,
         graph: &TrainGraph<'_>,
         neigh: CsrView<'_>,
-    ) -> (f32, Vec<glaive_nn::LinearGrads>) {
-        let (hs, aggs, pres, logits) = self.forward(graph.features, neigh);
-        let (loss, mut grad) = softmax_cross_entropy(&logits, graph.labels, Some(graph.mask));
-
-        // Backwards through the layers, fused: the [h ‖ agg] gradient is
-        // split inside the matmul and the aggregate half scattered back
-        // through the mean, with no concatenated intermediate.
-        let mut all_grads = Vec::with_capacity(self.layers.len());
-        for l in (0..self.layers.len()).rev() {
-            let is_last = l + 1 == self.layers.len();
-            let d_pre = if is_last {
-                grad
-            } else {
-                relu_backward(&pres[l], &grad)
-            };
-            if l > 0 {
-                let (d_h, grads) =
-                    sage_backward_fused(&self.layers[l], &hs[l], &aggs[l], neigh, &d_pre);
-                all_grads.push(grads);
-                grad = d_h;
-            } else {
-                // The raw features are not differentiated: skip the input
-                // gradient entirely (the old path computed and dropped it).
-                all_grads.push(self.layers[0].grads_concat(&hs[0], &aggs[0], &d_pre));
-                grad = Matrix::zeros(0, 0);
-            }
-        }
-        all_grads.reverse();
-        (loss, all_grads)
+    ) -> (f32, Vec<LinearGrads>) {
+        let mut grads = vec![LinearGrads::default(); self.layers.len()];
+        let loss = self.backprop(graph, neigh, &mut Workspace::default(), &mut grads);
+        (loss, grads)
     }
 
     /// Trains on the given graphs for the configured number of epochs with
@@ -296,14 +305,18 @@ impl GraphSage {
     ///
     /// The result is **bit-identical at every thread count**: per epoch,
     /// all neighbourhoods are resampled serially from the shared RNG
-    /// stream (one reused workspace per graph, so steady-state epochs
-    /// allocate no adjacency memory), the per-graph gradients — whose
-    /// computation is read-only and embarrassingly parallel — are merged
-    /// by a reduction tree whose shape depends only on the graph count,
-    /// and one optimizer step is taken on the mean gradient. Threads only
-    /// change *which worker* computes a gradient, never any accumulation
-    /// order. With a single graph the loop degenerates to exactly the
-    /// serial resample→step sequence of earlier releases.
+    /// stream, the per-graph gradients — whose computation is read-only
+    /// and embarrassingly parallel — are merged by a reduction tree whose
+    /// shape depends only on the graph count, and one optimizer step is
+    /// taken on the mean gradient. Threads only change *which worker*
+    /// computes a gradient, never any accumulation order. With a single
+    /// graph the loop degenerates to exactly the serial resample→step
+    /// sequence of earlier releases.
+    ///
+    /// Every per-epoch buffer lives for the whole call: one neighbour
+    /// sample and one gradient set per graph, and one forward/backward
+    /// workspace per worker. Once they have grown, steady-state epochs
+    /// allocate none of them.
     ///
     /// # Panics
     ///
@@ -336,67 +349,76 @@ impl GraphSage {
         }
         .min(graphs.len())
         .max(1);
-        let mut opts: Vec<Adam> = self
-            .layers
-            .iter()
-            .map(|l| Adam::new(self.config.lr, l.param_count()))
+        let mut state = TrainState::new(self, graphs.len(), workers);
+        let epoch_losses = (0..self.config.epochs)
+            .map(|_| self.epoch(graphs, &mut state))
             .collect();
-        let mut workspaces: Vec<SampledCsr> = graphs.iter().map(|_| SampledCsr::new()).collect();
-        let k = self.config.sample_size;
-        let mut epoch_losses = Vec::with_capacity(self.config.epochs);
-        for _ in 0..self.config.epochs {
-            // Serial resample in graph order: the RNG stream is shared, so
-            // this phase is identical regardless of worker count.
-            for (graph, ws) in graphs.iter().zip(&mut workspaces) {
-                ws.resample(graph.graph, k, &mut self.rng);
-            }
-            // Read-only per-graph gradient computation, fanned out over
-            // contiguous graph chunks.
-            let mut results: Vec<Option<(f32, Vec<glaive_nn::LinearGrads>)>> =
-                graphs.iter().map(|_| None).collect();
-            if workers <= 1 {
-                for ((graph, ws), slot) in graphs.iter().zip(&workspaces).zip(&mut results) {
-                    *slot = Some(self.compute_gradients(graph, ws.view()));
-                }
-            } else {
-                let per = graphs.len().div_ceil(workers);
-                let model = &*self;
-                std::thread::scope(|scope| {
-                    for ((gs, wss), slots) in graphs
-                        .chunks(per)
-                        .zip(workspaces.chunks(per))
-                        .zip(results.chunks_mut(per))
-                    {
-                        scope.spawn(move || {
-                            for ((graph, ws), slot) in gs.iter().zip(wss).zip(slots) {
-                                *slot = Some(model.compute_gradients(graph, ws.view()));
-                            }
-                        });
-                    }
-                });
-            }
-            let mut results: Vec<(f32, Vec<glaive_nn::LinearGrads>)> = results
-                .into_iter()
-                .map(|r| r.expect("worker ran"))
-                .collect();
-            reduce_into_first(&mut results);
-            let (mut total, mut grads) = results.swap_remove(0);
-            if graphs.len() > 1 {
-                let inv = 1.0 / graphs.len() as f32;
-                for g in &mut grads {
-                    g.w.scale(inv);
-                    for b in &mut g.b {
-                        *b *= inv;
-                    }
-                }
-                total *= inv;
-            }
-            for ((layer, grads), o) in self.layers.iter_mut().zip(&grads).zip(opts.iter_mut()) {
-                layer.apply(o, grads);
-            }
-            epoch_losses.push(total);
-        }
         TrainStats { epoch_losses }
+    }
+
+    /// One training epoch over `graphs`; returns its mean loss.
+    fn epoch(&mut self, graphs: &[TrainGraph<'_>], state: &mut TrainState) -> f32 {
+        // Serial resample in graph order: the RNG stream is shared, so
+        // this phase is identical regardless of worker count.
+        let k = self.config.sample_size;
+        for (graph, sample) in graphs.iter().zip(&mut state.samples) {
+            sample.resample(graph.graph, k, &mut self.rng);
+        }
+        // Read-only per-graph gradient computation, fanned out over
+        // contiguous graph chunks, one worker and workspace per chunk.
+        let per = state.per;
+        let workers = state.workspaces.len();
+        let jobs = graphs
+            .chunks(per)
+            .zip(state.samples.chunks(per))
+            .zip(state.results.chunks_mut(per))
+            .zip(&mut state.workspaces);
+        let model = &*self;
+        if workers == 1 {
+            for (((gs, samples), results), ws) in jobs {
+                model.backprop_chunk(gs, samples, results, ws);
+            }
+        } else {
+            std::thread::scope(|scope| {
+                for (((gs, samples), results), ws) in jobs {
+                    scope.spawn(move || model.backprop_chunk(gs, samples, results, ws));
+                }
+            });
+        }
+        reduce_into_first(&mut state.results);
+        let (total, grads) = &mut state.results[0];
+        if graphs.len() > 1 {
+            let inv = 1.0 / graphs.len() as f32;
+            for g in grads.iter_mut() {
+                g.w.scale(inv);
+                for b in &mut g.b {
+                    *b *= inv;
+                }
+            }
+            *total *= inv;
+        }
+        for ((layer, grads), o) in self
+            .layers
+            .iter_mut()
+            .zip(grads.iter())
+            .zip(&mut state.opts)
+        {
+            layer.apply(o, grads);
+        }
+        *total
+    }
+
+    /// Loss and gradients of each graph in a chunk, on one workspace.
+    fn backprop_chunk(
+        &self,
+        graphs: &[TrainGraph<'_>],
+        samples: &[SampledCsr],
+        results: &mut [(f32, Vec<LinearGrads>)],
+        ws: &mut Workspace,
+    ) {
+        for ((graph, sample), (loss, grads)) in graphs.iter().zip(samples).zip(results) {
+            *loss = self.backprop(graph, sample.view(), ws, grads);
+        }
     }
 
     /// Class probabilities for every node of an (unseen) graph, aggregating
@@ -418,8 +440,9 @@ impl GraphSage {
             graph.node_count(),
             "feature/neighbour count mismatch"
         );
-        let (_, _, _, logits) = self.forward(features, graph);
-        softmax_rows(&logits)
+        let mut ws = Workspace::default();
+        self.forward(features, graph, &mut ws);
+        softmax_rows(&ws.logits)
     }
 
     /// The model's expected node-feature width (the first layer consumes
@@ -435,6 +458,61 @@ impl GraphSage {
     }
 }
 
+/// The matrices of one forward and backward pass. Every kernel reshapes
+/// its output in place, so a workspace reused across epochs allocates none
+/// of them once each has grown to the largest graph it serves.
+#[derive(Debug, Default)]
+struct Workspace {
+    /// Each hidden layer's output, ReLU applied in place: the next layer's
+    /// input and the mask of this layer's ReLU backward.
+    hidden: Vec<Matrix>,
+    /// The mean aggregate of each layer's input.
+    aggs: Vec<Matrix>,
+    /// The last layer's logits, then `∂L/∂logits`.
+    logits: Matrix,
+    /// `∂L/∂` each hidden output, then, masked in place, the gradient of
+    /// that layer's pre-activation.
+    d_hidden: Vec<Matrix>,
+    /// The aggregate half of a layer's input gradient, before its scatter.
+    d_agg: Matrix,
+}
+
+/// What one [`GraphSage::train_with_threads`] call keeps across epochs.
+#[derive(Debug)]
+struct TrainState {
+    opts: Vec<Adam>,
+    /// One neighbour sample per graph.
+    samples: Vec<SampledCsr>,
+    /// One `(loss, gradients)` per graph; the reduction sums into the
+    /// first.
+    results: Vec<(f32, Vec<LinearGrads>)>,
+    /// One workspace per worker; worker `i` takes graphs `i·per..`.
+    workspaces: Vec<Workspace>,
+    per: usize,
+}
+
+impl TrainState {
+    fn new(model: &GraphSage, graphs: usize, workers: usize) -> TrainState {
+        let per = graphs.div_ceil(workers);
+        let layers = model.layers.len();
+        TrainState {
+            opts: model
+                .layers
+                .iter()
+                .map(|l| Adam::new(model.config.lr, l.param_count()))
+                .collect(),
+            samples: (0..graphs).map(|_| SampledCsr::new()).collect(),
+            results: (0..graphs)
+                .map(|_| (0.0, vec![LinearGrads::default(); layers]))
+                .collect(),
+            workspaces: (0..graphs.div_ceil(per))
+                .map(|_| Workspace::default())
+                .collect(),
+            per,
+        }
+    }
+}
+
 /// Merges all per-graph `(loss, gradients)` results into `results[0]` via
 /// a fixed binary reduction tree: the slice splits at `len.div_ceil(2)`,
 /// each half reduces recursively, and the right half's root adds into the
@@ -442,7 +520,7 @@ impl GraphSage {
 /// order — depends only on the number of graphs, never on which thread
 /// produced which result, which is what makes data-parallel training
 /// bit-identical to serial.
-fn reduce_into_first(results: &mut [(f32, Vec<glaive_nn::LinearGrads>)]) {
+fn reduce_into_first(results: &mut [(f32, Vec<LinearGrads>)]) {
     if results.len() <= 1 {
         return;
     }
@@ -698,8 +776,9 @@ mod tests {
 
         let eps = 2e-3f32;
         let loss_of = |m: &GraphSage| {
-            let (_, _, _, logits) = m.forward(&feats, csr.view());
-            softmax_cross_entropy(&logits, &labels, Some(&mask)).0
+            let mut ws = Workspace::default();
+            m.forward(&feats, csr.view(), &mut ws);
+            softmax_cross_entropy(&mut ws.logits, &labels, Some(&mask))
         };
         // Probe several entries in every layer (including the aggregate
         // half of the concatenated input, columns >= in_dim).
@@ -788,12 +867,12 @@ mod tests {
         for (l, layer) in model.layers.iter().enumerate() {
             let agg = legacy_aggregate(&h, neigh);
             let z = h.hconcat(&agg);
-            let pre = layer.forward(&z);
-            let out = if l + 1 == model.layers.len() {
-                pre.clone()
-            } else {
-                relu(&pre)
-            };
+            let mut pre = Matrix::zeros(0, 0);
+            layer.forward(&z, &mut pre);
+            let mut out = pre.clone();
+            if l + 1 != model.layers.len() {
+                relu(&mut out);
+            }
             inputs.push(z);
             pres.push(pre);
             h = out;
@@ -807,18 +886,18 @@ mod tests {
         neigh: &[Vec<u32>],
         labels: &[usize],
         mask: &[bool],
-    ) -> (f32, Vec<glaive_nn::LinearGrads>) {
-        let (inputs, pres, logits) = legacy_forward(model, features, neigh);
-        let (loss, mut grad) = softmax_cross_entropy(&logits, labels, Some(mask));
+    ) -> (f32, Vec<LinearGrads>) {
+        let (inputs, pres, mut grad) = legacy_forward(model, features, neigh);
+        let loss = softmax_cross_entropy(&mut grad, labels, Some(mask));
         let mut all_grads = Vec::new();
         for l in (0..model.layers.len()).rev() {
             let is_last = l + 1 == model.layers.len();
-            let d_pre = if is_last {
-                grad
-            } else {
-                relu_backward(&pres[l], &grad)
-            };
-            let (d_z, grads) = model.layers[l].backward(&inputs[l], &d_pre);
+            let mut d_pre = grad;
+            if !is_last {
+                relu_backward(&pres[l], &mut d_pre);
+            }
+            let (mut d_z, mut grads) = (Matrix::zeros(0, 0), LinearGrads::default());
+            model.layers[l].backward(&inputs[l], &d_pre, &mut d_z, &mut grads);
             all_grads.push(grads);
             if l > 0 {
                 let d_in = inputs[l].cols() / 2;
@@ -948,6 +1027,63 @@ mod tests {
                         &model_bytes, want_bytes,
                         "{threads}-thread model bytes diverged"
                     );
+                }
+            }
+        }
+    }
+
+    /// From the second epoch on, every buffer an epoch writes — each
+    /// worker's workspace, each graph's gradients — keeps its data
+    /// pointer, at one worker and at two: the property that keeps training
+    /// epochs free of fresh matrices and their page faults.
+    #[test]
+    fn warm_epochs_keep_their_buffers() {
+        let tasks = five_tasks();
+        let graphs: Vec<TrainGraph<'_>> = tasks
+            .iter()
+            .map(|(f, g, l, m)| TrainGraph {
+                features: f,
+                graph: g,
+                labels: l,
+                mask: m,
+            })
+            .collect();
+        let config = SageConfig {
+            hidden: 6,
+            layers: 3,
+            classes: 2,
+            sample_size: 3,
+            lr: 0.02,
+            epochs: 6,
+            seed: 29,
+        };
+        let buffers = |state: &TrainState| {
+            let mut mats: Vec<&Matrix> = Vec::new();
+            for ws in &state.workspaces {
+                mats.extend(ws.hidden.iter().chain(&ws.aggs).chain(&ws.d_hidden));
+                mats.extend([&ws.logits, &ws.d_agg]);
+            }
+            let grads = state.results.iter().flat_map(|(_, g)| g);
+            mats.extend(grads.clone().map(|g| &g.w));
+            let mut b: Vec<(*const f32, usize)> = mats
+                .iter()
+                .map(|m| (m.data().as_ptr(), m.data().len()))
+                .collect();
+            b.extend(grads.map(|g| (g.b.as_ptr(), g.b.capacity())));
+            b
+        };
+        for workers in [1, 2] {
+            let mut model = GraphSage::try_new(3, &config).expect("valid model config");
+            let mut state = TrainState::new(&model, graphs.len(), workers);
+            assert_eq!(state.workspaces.len(), workers);
+            let mut warm = None;
+            for epoch in 0..config.epochs {
+                model.epoch(&graphs, &mut state);
+                if epoch >= 1 {
+                    let now = buffers(&state);
+                    assert!(now.iter().all(|&(_, len)| len > 0), "{now:?}");
+                    let want = warm.get_or_insert_with(|| now.clone());
+                    assert_eq!(*want, now, "{workers} workers, epoch {epoch}");
                 }
             }
         }

@@ -1,5 +1,6 @@
 use glaive_nn::{
-    relu, relu_backward, softmax_cross_entropy, softmax_rows, Adam, DetRng, Linear, Matrix,
+    relu, relu_backward, softmax_cross_entropy, softmax_rows, Adam, DetRng, Linear, LinearGrads,
+    Matrix,
 };
 
 /// Hyperparameters for [`MlpClassifier`], defaulting to sklearn's
@@ -95,34 +96,73 @@ impl MlpClassifier {
     /// excluded from the loss. Returns the per-epoch losses.
     pub fn train(&mut self, x: &Matrix, labels: &[usize], mask: Option<&[bool]>) -> Vec<f32> {
         assert_eq!(x.rows(), labels.len(), "one label per row");
-        let mut o1 = Adam::new(self.config.lr, self.l1.param_count());
-        let mut o2 = Adam::new(self.config.lr, self.l2.param_count());
-        let mut losses = Vec::with_capacity(self.config.epochs);
-        for _ in 0..self.config.epochs {
-            let pre1 = self.l1.forward(x);
-            let h1 = relu(&pre1);
-            let logits = self.l2.forward(&h1);
-            let (loss, grad) = softmax_cross_entropy(&logits, labels, mask);
-            let (dh1, g2) = self.l2.backward(&h1, &grad);
-            let dpre1 = relu_backward(&pre1, &dh1);
-            let (_, g1) = self.l1.backward(x, &dpre1);
-            self.l1.apply(&mut o1, &g1);
-            self.l2.apply(&mut o2, &g2);
-            losses.push(loss);
-        }
-        losses
+        let mut opts = self.optimizers();
+        let mut ws = Workspace::default();
+        (0..self.config.epochs)
+            .map(|_| self.epoch(x, labels, mask, &mut opts, &mut ws))
+            .collect()
+    }
+
+    fn optimizers(&self) -> [Adam; 2] {
+        let lr = self.config.lr;
+        [
+            Adam::new(lr, self.l1.param_count()),
+            Adam::new(lr, self.l2.param_count()),
+        ]
+    }
+
+    /// One full-batch gradient step; returns its loss. Every matrix it
+    /// writes lives in `ws`, so from the second epoch on it allocates
+    /// none of them.
+    fn epoch(
+        &mut self,
+        x: &Matrix,
+        labels: &[usize],
+        mask: Option<&[bool]>,
+        opts: &mut [Adam; 2],
+        ws: &mut Workspace,
+    ) -> f32 {
+        self.l1.forward(x, &mut ws.h1);
+        relu(&mut ws.h1);
+        self.l2.forward(&ws.h1, &mut ws.logits);
+        let loss = softmax_cross_entropy(&mut ws.logits, labels, mask);
+        self.l2
+            .backward(&ws.h1, &ws.logits, &mut ws.dh1, &mut ws.grads[1]);
+        relu_backward(&ws.h1, &mut ws.dh1);
+        // The input is not differentiated: layer 1 needs only its
+        // parameter gradients.
+        self.l1.grads(x, &ws.dh1, &mut ws.grads[0]);
+        self.l1.apply(&mut opts[0], &ws.grads[0]);
+        self.l2.apply(&mut opts[1], &ws.grads[1]);
+        loss
     }
 
     /// Class probabilities per row.
     pub fn predict_proba(&self, x: &Matrix) -> Matrix {
-        let h1 = relu(&self.l1.forward(x));
-        softmax_rows(&self.l2.forward(&h1))
+        let (mut h1, mut logits) = (Matrix::default(), Matrix::default());
+        self.l1.forward(x, &mut h1);
+        relu(&mut h1);
+        self.l2.forward(&h1, &mut logits);
+        softmax_rows(&logits)
     }
 
     /// Hard label predictions.
     pub fn predict_labels(&self, x: &Matrix) -> Vec<usize> {
         self.predict_proba(x).argmax_rows()
     }
+}
+
+/// The per-epoch matrices of one [`MlpClassifier::train`] call.
+#[derive(Debug, Default)]
+struct Workspace {
+    /// Layer 1's pre-activation, then, after the in-place ReLU, its
+    /// output — which is also the mask of the ReLU backward.
+    h1: Matrix,
+    /// Layer 2's logits, then `∂L/∂logits`.
+    logits: Matrix,
+    /// `∂L/∂h1`, then, masked in place, `∂L/∂pre1`.
+    dh1: Matrix,
+    grads: [LinearGrads; 2],
 }
 
 #[cfg(test)]
@@ -218,6 +258,46 @@ mod tests {
             .count();
         let total = mask.iter().filter(|&&m| m).count();
         assert!(correct as f64 / total as f64 > 0.9);
+    }
+
+    /// From the second epoch on, every workspace matrix keeps its data
+    /// pointer: the property that keeps training epochs free of fresh
+    /// matrices and their page faults. It fails if a kernel allocates its
+    /// output afresh.
+    #[test]
+    fn warm_epochs_keep_their_buffers() {
+        let (x, y) = blobs(40, 3);
+        let cfg = MlpConfig {
+            hidden: 16,
+            lr: 0.01,
+            epochs: 6,
+            seed: 4,
+        };
+        let mut mlp = MlpClassifier::try_new(2, 3, &cfg).expect("valid model config");
+        let (mut opts, mut ws) = (mlp.optimizers(), Workspace::default());
+        let buffers = |ws: &Workspace| {
+            let mut mats = vec![&ws.h1, &ws.logits, &ws.dh1];
+            mats.extend(ws.grads.iter().map(|g| &g.w));
+            let mut b: Vec<(*const f32, usize)> = mats
+                .iter()
+                .map(|m| (m.data().as_ptr(), m.data().len()))
+                .collect();
+            b.extend(ws.grads.iter().map(|g| (g.b.as_ptr(), g.b.capacity())));
+            b
+        };
+        let mut warm = None;
+        for epoch in 0..cfg.epochs {
+            mlp.epoch(&x, &y, None, &mut opts, &mut ws);
+            if epoch >= 1 {
+                let now = buffers(&ws);
+                assert!(now.iter().all(|&(_, len)| len > 0), "{now:?}");
+                assert_eq!(
+                    *warm.get_or_insert_with(|| now.clone()),
+                    now,
+                    "epoch {epoch}"
+                );
+            }
+        }
     }
 
     #[test]

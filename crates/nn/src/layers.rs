@@ -1,4 +1,4 @@
-use crate::matrix::Matrix;
+use crate::matrix::{matmul_impl, transpose_matmul_impl, Matrix};
 use crate::optim::Adam;
 use crate::rng::DetRng;
 
@@ -9,8 +9,9 @@ pub struct Linear {
     b: Vec<f32>,
 }
 
-/// Gradients produced by [`Linear::backward`].
-#[derive(Debug, Clone)]
+/// Gradients produced by [`Linear::backward`] and its siblings; the
+/// default is empty, and each call reshapes it.
+#[derive(Debug, Clone, Default)]
 pub struct LinearGrads {
     /// `∂L/∂W` (same shape as the weights).
     pub w: Matrix,
@@ -63,85 +64,100 @@ impl Linear {
         Linear { w, b }
     }
 
-    /// Forward pass `x·W + b`.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w);
+    /// Forward pass `x·W + b` into `y`.
+    pub fn forward(&self, x: &Matrix, y: &mut Matrix) {
+        matmul_impl(x, None, &self.w, y);
+        self.add_bias(y);
+    }
+
+    /// Fused forward pass `[left ‖ right]·W + b` into `y` without
+    /// materialising the concatenated input — bit-identical to
+    /// [`Linear::forward`] on `left.hconcat(right)`.
+    pub fn forward_concat(&self, left: &Matrix, right: &Matrix, y: &mut Matrix) {
+        matmul_impl(left, Some(right), &self.w, y);
+        self.add_bias(y);
+    }
+
+    fn add_bias(&self, y: &mut Matrix) {
         for r in 0..y.rows() {
-            let row = y.row_mut(r);
-            for (v, b) in row.iter_mut().zip(&self.b) {
+            for (v, b) in y.row_mut(r).iter_mut().zip(&self.b) {
                 *v += b;
             }
         }
-        y
     }
 
-    /// Backward pass: given the layer input `x` and `∂L/∂y`, returns
-    /// `(∂L/∂x, gradients)`.
-    pub fn backward(&self, x: &Matrix, grad_out: &Matrix) -> (Matrix, LinearGrads) {
-        let grad_w = x.transpose_matmul(grad_out);
-        let mut grad_b = vec![0.0f32; self.b.len()];
+    /// Parameter gradients into `grads`, given the layer input `x` and
+    /// `∂L/∂y` — the [`Linear::backward`] terms without the input
+    /// gradient, for a layer whose input is not differentiated (the MLP's
+    /// first layer).
+    pub fn grads(&self, x: &Matrix, grad_out: &Matrix, grads: &mut LinearGrads) {
+        transpose_matmul_impl(x, None, grad_out, &mut grads.w);
+        self.bias_grads(grad_out, &mut grads.b);
+    }
+
+    /// Parameter gradients of the fused concat forward into `grads` — the
+    /// [`Linear::backward_concat`] terms without the input gradients, for
+    /// the first GraphSAGE layer, whose raw features are not
+    /// differentiated.
+    pub fn grads_concat(
+        &self,
+        left: &Matrix,
+        right: &Matrix,
+        grad_out: &Matrix,
+        grads: &mut LinearGrads,
+    ) {
+        transpose_matmul_impl(left, Some(right), grad_out, &mut grads.w);
+        self.bias_grads(grad_out, &mut grads.b);
+    }
+
+    fn bias_grads(&self, grad_out: &Matrix, grad_b: &mut Vec<f32>) {
+        grad_b.clear();
+        grad_b.resize(self.b.len(), 0.0);
         for r in 0..grad_out.rows() {
             for (gb, g) in grad_b.iter_mut().zip(grad_out.row(r)) {
                 *gb += g;
             }
         }
-        let grad_x = grad_out.matmul_transpose(&self.w);
-        (
-            grad_x,
-            LinearGrads {
-                w: grad_w,
-                b: grad_b,
-            },
-        )
     }
 
-    /// Fused forward pass `[left ‖ right]·W + b` without materialising
-    /// the concatenated input — bit-identical to
-    /// `self.forward(&left.hconcat(right))`.
-    pub fn forward_concat(&self, left: &Matrix, right: &Matrix) -> Matrix {
-        let mut y = left.matmul_concat(right, &self.w);
-        for r in 0..y.rows() {
-            let row = y.row_mut(r);
-            for (v, b) in row.iter_mut().zip(&self.b) {
-                *v += b;
-            }
-        }
-        y
+    /// Backward pass: given the layer input `x` and `∂L/∂y`, writes
+    /// `∂L/∂x` into `grad_x` and the parameter gradients into `grads`.
+    ///
+    /// `∂L/∂x = ∂L/∂y · Wᵀ` runs through the k-ascending `matmul` kernel
+    /// on a transposed copy of the weights: each element is the same dot
+    /// product a per-element reduction would sum, but the row-major
+    /// kernel vectorises, and the copy is weight-sized.
+    pub fn backward(
+        &self,
+        x: &Matrix,
+        grad_out: &Matrix,
+        grad_x: &mut Matrix,
+        grads: &mut LinearGrads,
+    ) {
+        self.grads(x, grad_out, grads);
+        matmul_impl(grad_out, None, &self.w.transpose(), grad_x);
     }
 
-    /// Parameter gradients of the fused concat forward — the
-    /// [`Linear::backward_concat`] weight/bias terms without the input
-    /// gradients, for layers whose inputs are not differentiated (the
-    /// first GraphSAGE layer's raw features).
-    pub fn grads_concat(&self, left: &Matrix, right: &Matrix, grad_out: &Matrix) -> LinearGrads {
-        let grad_w = left.transpose_matmul_concat(right, grad_out);
-        let mut grad_b = vec![0.0f32; self.b.len()];
-        for r in 0..grad_out.rows() {
-            for (gb, g) in grad_b.iter_mut().zip(grad_out.row(r)) {
-                *gb += g;
-            }
-        }
-        LinearGrads {
-            w: grad_w,
-            b: grad_b,
-        }
-    }
-
-    /// Backward of the fused concat forward: returns the input gradients
-    /// for each half plus the parameter gradients, bit-identical to
-    /// running [`Linear::backward`] on the materialised concatenation and
+    /// Backward of the fused concat forward: writes the input gradient of
+    /// each half into `grad_left` and `grad_right` and the parameter
+    /// gradients into `grads`, bit-identical to running
+    /// [`Linear::backward`] on the materialised concatenation and
     /// splitting `∂L/∂x` afterwards.
     pub fn backward_concat(
         &self,
         left: &Matrix,
         right: &Matrix,
         grad_out: &Matrix,
-    ) -> (Matrix, Matrix, LinearGrads) {
-        let grads = self.grads_concat(left, right, grad_out);
+        grad_left: &mut Matrix,
+        grad_right: &mut Matrix,
+        grads: &mut LinearGrads,
+    ) {
+        self.grads_concat(left, right, grad_out, grads);
         let dl = left.cols();
-        let grad_left = grad_out.matmul(&self.w.transpose_rows(0, dl));
-        let grad_right = grad_out.matmul(&self.w.transpose_rows(dl, self.w.rows()));
-        (grad_left, grad_right, grads)
+        let w_left = self.w.transpose_rows(0, dl);
+        matmul_impl(grad_out, None, &w_left, grad_left);
+        let w_right = self.w.transpose_rows(dl, self.w.rows());
+        matmul_impl(grad_out, None, &w_right, grad_right);
     }
 
     /// Applies gradients through an optimizer whose state covers
@@ -154,35 +170,41 @@ impl Linear {
     }
 }
 
-/// Element-wise ReLU.
-pub fn relu(x: &Matrix) -> Matrix {
-    let mut y = x.clone();
-    for v in y.data_mut() {
+/// Element-wise ReLU in place: negatives become `+0.0`; `-0.0` and NaN
+/// pass through.
+pub fn relu(x: &mut Matrix) {
+    for v in x.data_mut() {
         if *v < 0.0 {
             *v = 0.0;
         }
     }
-    y
 }
 
-/// Backward of ReLU: gradient masked by the sign of the pre-activation.
-pub fn relu_backward(pre_activation: &Matrix, grad_out: &Matrix) -> Matrix {
-    assert_eq!(pre_activation.rows(), grad_out.rows(), "shape mismatch");
-    assert_eq!(pre_activation.cols(), grad_out.cols(), "shape mismatch");
-    let mut g = grad_out.clone();
-    for (gv, &pv) in g.data_mut().iter_mut().zip(pre_activation.data()) {
-        if pv <= 0.0 {
+/// Backward of ReLU in place: zeroes `grad` wherever `x <= 0.0`.
+///
+/// `x` may be the pre-activation or the [`relu`] output: `relu` only turns
+/// negatives into `+0.0`, so both give the same mask, `-0.0` and NaN
+/// included.
+pub fn relu_backward(x: &Matrix, grad: &mut Matrix) {
+    assert_eq!(x.rows(), grad.rows(), "shape mismatch");
+    assert_eq!(x.cols(), grad.cols(), "shape mismatch");
+    for (gv, &xv) in grad.data_mut().iter_mut().zip(x.data()) {
+        if xv <= 0.0 {
             *gv = 0.0;
         }
     }
-    g
 }
 
 /// Row-wise softmax.
 pub fn softmax_rows(logits: &Matrix) -> Matrix {
     let mut p = logits.clone();
-    for r in 0..p.rows() {
-        let row = p.row_mut(r);
+    softmax_in_place(&mut p);
+    p
+}
+
+fn softmax_in_place(m: &mut Matrix) {
+    for r in 0..m.rows() {
+        let row = m.row_mut(r);
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0;
         for v in row.iter_mut() {
@@ -193,23 +215,19 @@ pub fn softmax_rows(logits: &Matrix) -> Matrix {
             *v /= sum;
         }
     }
-    p
 }
 
-/// Mean softmax cross-entropy over (optionally masked) rows.
+/// Mean softmax cross-entropy over (optionally masked) rows; overwrites
+/// `logits` with `∂L/∂logits` and returns the mean loss.
 ///
 /// `labels[r]` is the class index of row `r`; rows where `mask` is `false`
 /// contribute neither loss nor gradient (used to skip unlabelled CDFG
-/// nodes). Returns `(mean_loss, ∂L/∂logits)`.
+/// nodes).
 ///
 /// # Panics
 ///
 /// Panics if no row is active.
-pub fn softmax_cross_entropy(
-    logits: &Matrix,
-    labels: &[usize],
-    mask: Option<&[bool]>,
-) -> (f32, Matrix) {
+pub fn softmax_cross_entropy(logits: &mut Matrix, labels: &[usize], mask: Option<&[bool]>) -> f32 {
     assert_eq!(logits.rows(), labels.len(), "one label per row");
     if let Some(m) = mask {
         assert_eq!(m.len(), labels.len(), "one mask bit per row");
@@ -219,35 +237,58 @@ pub fn softmax_cross_entropy(
         active > 0,
         "softmax cross entropy needs at least one active row"
     );
-    let probs = softmax_rows(logits);
-    let mut grad = probs.clone();
+    softmax_in_place(logits);
+    let grad = logits;
     let mut loss = 0.0f32;
-    for r in 0..logits.rows() {
+    for r in 0..grad.rows() {
         let on = mask.is_none_or(|m| m[r]);
         if !on {
             grad.row_mut(r).fill(0.0);
             continue;
         }
-        let p = probs[(r, labels[r])].max(1e-12);
+        let p = grad[(r, labels[r])].max(1e-12);
         loss -= p.ln();
         grad[(r, labels[r])] -= 1.0;
     }
     let scale = 1.0 / active as f32;
     grad.scale(scale);
-    (loss * scale, grad)
+    loss * scale
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `layer.forward(x)` into a fresh matrix.
+    fn forward(layer: &Linear, x: &Matrix) -> Matrix {
+        let mut y = Matrix::default();
+        layer.forward(x, &mut y);
+        y
+    }
+
+    fn loss(layer: &Linear, x: &Matrix, labels: &[usize]) -> f32 {
+        softmax_cross_entropy(&mut forward(layer, x), labels, None)
+    }
+
+    /// `relu` zeroes only negatives, so its output and its input give
+    /// `relu_backward` the same mask — for `-0.0` and NaN too.
     #[test]
     fn relu_and_backward() {
-        let x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -0.5]);
-        let y = relu(&x);
-        assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
-        let g = relu_backward(&x, &Matrix::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]));
-        assert_eq!(g.data(), &[0.0, 0.0, 1.0, 0.0]);
+        let x = Matrix::from_vec(
+            1,
+            6,
+            vec![-1.0, 0.0, -0.0, f32::NAN, 2.0, f32::NEG_INFINITY],
+        );
+        let mut y = x.clone();
+        relu(&mut y);
+        let bits: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
+        let want = [0.0, 0.0, -0.0, f32::NAN, 2.0, 0.0].map(f32::to_bits);
+        assert_eq!(bits, want);
+        for mask in [&x, &y] {
+            let mut g = Matrix::from_vec(1, 6, vec![1.0; 6]);
+            relu_backward(mask, &mut g);
+            assert_eq!(g.data(), &[0.0, 0.0, 0.0, 1.0, 1.0, 0.0]);
+        }
     }
 
     #[test]
@@ -263,8 +304,8 @@ mod tests {
 
     #[test]
     fn cross_entropy_of_perfect_prediction_is_small() {
-        let logits = Matrix::from_vec(2, 2, vec![10.0, -10.0, -10.0, 10.0]);
-        let (loss, grad) = softmax_cross_entropy(&logits, &[0, 1], None);
+        let mut grad = Matrix::from_vec(2, 2, vec![10.0, -10.0, -10.0, 10.0]);
+        let loss = softmax_cross_entropy(&mut grad, &[0, 1], None);
         assert!(loss < 1e-3);
         assert!(grad.data().iter().all(|g| g.abs() < 1e-3));
     }
@@ -272,8 +313,9 @@ mod tests {
     #[test]
     fn masked_rows_contribute_nothing() {
         let logits = Matrix::from_vec(2, 2, vec![0.0, 0.0, 5.0, -5.0]);
-        let (loss_all, _) = softmax_cross_entropy(&logits, &[0, 0], None);
-        let (loss_masked, grad) = softmax_cross_entropy(&logits, &[0, 0], Some(&[true, false]));
+        let loss_all = softmax_cross_entropy(&mut logits.clone(), &[0, 0], None);
+        let mut grad = logits;
+        let loss_masked = softmax_cross_entropy(&mut grad, &[0, 0], Some(&[true, false]));
         assert!(loss_masked > 0.0);
         assert_ne!(loss_all, loss_masked);
         assert_eq!(grad.row(1), &[0.0, 0.0]);
@@ -287,20 +329,19 @@ mod tests {
         let x = Matrix::from_fn(4, 3, |_, _| rng.uniform(-1.0, 1.0));
         let labels = vec![0usize, 1, 0, 1];
 
-        let logits = layer.forward(&x);
-        let (_, grad_logits) = softmax_cross_entropy(&logits, &labels, None);
-        let (grad_x, grads) = layer.backward(&x, &grad_logits);
+        let mut grad_logits = forward(&layer, &x);
+        softmax_cross_entropy(&mut grad_logits, &labels, None);
+        let (mut grad_x, mut grads) = (Matrix::default(), LinearGrads::default());
+        layer.backward(&x, &grad_logits, &mut grad_x, &mut grads);
 
         let eps = 1e-3f32;
         // Check a handful of weight entries.
         for &(r, c) in &[(0usize, 0usize), (1, 1), (2, 0)] {
             let mut lp = layer.clone();
             lp.w[(r, c)] += eps;
-            let (loss_p, _) = softmax_cross_entropy(&lp.forward(&x), &labels, None);
             let mut lm = layer.clone();
             lm.w[(r, c)] -= eps;
-            let (loss_m, _) = softmax_cross_entropy(&lm.forward(&x), &labels, None);
-            let numeric = (loss_p - loss_m) / (2.0 * eps);
+            let numeric = (loss(&lp, &x, &labels) - loss(&lm, &x, &labels)) / (2.0 * eps);
             let analytic = grads.w[(r, c)];
             assert!(
                 (numeric - analytic).abs() < 1e-2,
@@ -311,11 +352,9 @@ mod tests {
         for &(r, c) in &[(0usize, 0usize), (3, 2)] {
             let mut xp = x.clone();
             xp[(r, c)] += eps;
-            let (loss_p, _) = softmax_cross_entropy(&layer.forward(&xp), &labels, None);
             let mut xm = x.clone();
             xm[(r, c)] -= eps;
-            let (loss_m, _) = softmax_cross_entropy(&layer.forward(&xm), &labels, None);
-            let numeric = (loss_p - loss_m) / (2.0 * eps);
+            let numeric = (loss(&layer, &xp, &labels) - loss(&layer, &xm, &labels)) / (2.0 * eps);
             let analytic = grad_x[(r, c)];
             assert!(
                 (numeric - analytic).abs() < 1e-2,
@@ -325,17 +364,16 @@ mod tests {
         // Bias gradient.
         let mut lp = layer.clone();
         lp.b[0] += eps;
-        let (loss_p, _) = softmax_cross_entropy(&lp.forward(&x), &labels, None);
         let mut lm = layer.clone();
         lm.b[0] -= eps;
-        let (loss_m, _) = softmax_cross_entropy(&lm.forward(&x), &labels, None);
-        let numeric = (loss_p - loss_m) / (2.0 * eps);
+        let numeric = (loss(&lp, &x, &labels) - loss(&lm, &x, &labels)) / (2.0 * eps);
         assert!((numeric - grads.b[0]).abs() < 1e-2);
     }
 
     /// The fused concat forward/backward is bit-identical to materialising
     /// the concatenation (forward, input gradients via `hsplit`, and
-    /// parameter gradients alike).
+    /// parameter gradients alike), and the parameter-only backwards match
+    /// the full ones.
     #[test]
     fn concat_paths_match_materialised_concat_bitwise() {
         let mut rng = DetRng::new(11);
@@ -346,16 +384,27 @@ mod tests {
             let grad_out = Matrix::from_fn(n, h, |_, _| rng.uniform(-1.0, 1.0));
             let z = left.hconcat(&right);
 
-            let fused = layer.forward_concat(&left, &right);
-            let unfused = layer.forward(&z);
+            let mut fused = Matrix::default();
+            layer.forward_concat(&left, &right, &mut fused);
+            let unfused = forward(&layer, &z);
             assert_eq!(fused.data(), unfused.data(), "forward {n}x[{dl}|{dr}]");
             for (a, b) in fused.data().iter().zip(unfused.data()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
 
-            let (dz, grads) = layer.backward(&z, &grad_out);
+            let (mut dz, mut grads) = (Matrix::default(), LinearGrads::default());
+            layer.backward(&z, &grad_out, &mut dz, &mut grads);
             let (want_l, want_r) = dz.hsplit(dl);
-            let (got_l, got_r, got_grads) = layer.backward_concat(&left, &right, &grad_out);
+            let (mut got_l, mut got_r) = (Matrix::default(), Matrix::default());
+            let mut got_grads = LinearGrads::default();
+            layer.backward_concat(
+                &left,
+                &right,
+                &grad_out,
+                &mut got_l,
+                &mut got_r,
+                &mut got_grads,
+            );
             for (a, b) in got_l.data().iter().zip(want_l.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "d_left {n}x[{dl}|{dr}]");
             }
@@ -367,16 +416,20 @@ mod tests {
             }
             assert_eq!(got_grads.b, grads.b);
 
-            let grads_only = layer.grads_concat(&left, &right, &grad_out);
+            let mut grads_only = LinearGrads::default();
+            layer.grads_concat(&left, &right, &grad_out, &mut grads_only);
             assert_eq!(grads_only.w.data(), got_grads.w.data());
             assert_eq!(grads_only.b, got_grads.b);
+            layer.grads(&z, &grad_out, &mut grads_only);
+            assert_eq!(grads_only.w.data(), grads.w.data());
+            assert_eq!(grads_only.b, grads.b);
         }
     }
 
     #[test]
     #[should_panic(expected = "at least one active row")]
     fn all_masked_panics() {
-        let logits = Matrix::zeros(1, 2);
-        softmax_cross_entropy(&logits, &[0], Some(&[false]));
+        let mut logits = Matrix::zeros(1, 2);
+        softmax_cross_entropy(&mut logits, &[0], Some(&[false]));
     }
 }

@@ -1,7 +1,9 @@
 //! Dense numeric kernel shared by the GLAIVE GNN and the baseline MLP:
 //! row-major `f32` matrices, a linear layer with manual backpropagation,
 //! ReLU, masked softmax cross-entropy, Adam/SGD optimizers and Glorot
-//! initialisation.
+//! initialisation. The layer kernels write into caller-owned matrices, so
+//! a trainer that keeps its buffers across epochs allocates none of them
+//! once they have grown (DESIGN.md §16).
 //!
 //! The paper trains a 3-layer GraphSAGE with hidden dimension 128 and a
 //! small MLP — models small enough that explicit forward/backward functions
@@ -10,7 +12,7 @@
 //! # Example
 //!
 //! ```
-//! use glaive_nn::{Matrix, Linear, Adam, softmax_cross_entropy, DetRng};
+//! use glaive_nn::{Matrix, Linear, LinearGrads, Adam, softmax_cross_entropy, DetRng};
 //!
 //! let mut rng = DetRng::new(1);
 //! let mut layer = Linear::glorot(4, 3, &mut rng);
@@ -18,13 +20,15 @@
 //! let labels = vec![0usize, 1, 2, 0, 1, 2, 0, 1];
 //!
 //! let mut opt = Adam::new(0.05, layer.param_count());
+//! // Kernels write into caller-owned buffers, reused across steps.
+//! let (mut logits, mut grads) = (Matrix::default(), LinearGrads::default());
 //! let mut last = f32::MAX;
 //! for _ in 0..50 {
-//!     let logits = layer.forward(&x);
-//!     let (loss, grad) = softmax_cross_entropy(&logits, &labels, None);
-//!     let (_, grads) = layer.backward(&x, &grad);
+//!     layer.forward(&x, &mut logits);
+//!     // Turns the logits into ∂L/∂logits in place.
+//!     last = softmax_cross_entropy(&mut logits, &labels, None);
+//!     layer.grads(&x, &logits, &mut grads);
 //!     layer.apply(&mut opt, &grads);
-//!     last = loss;
 //! }
 //! assert!(last < 1.0, "training reduced the loss, got {last}");
 //! ```

@@ -2,16 +2,16 @@ use std::fmt;
 use std::ops::{Index, IndexMut};
 use std::sync::OnceLock;
 
-/// A dense row-major `f32` matrix.
+/// A dense row-major `f32` matrix; the default is `0 × 0`.
 ///
-/// The multiply kernels ([`Matrix::matmul`], [`Matrix::transpose_matmul`],
-/// [`Matrix::matmul_transpose`] and the fused `*_concat` variants) are
-/// cache-blocked and register-tiled but keep a **fixed accumulation order
-/// per output element** — `k`-ascending for `matmul`, input-row-ascending
-/// for `transpose_matmul` — so their results are bit-identical to the
+/// The multiply kernels ([`Matrix::matmul`], [`Matrix::transpose_matmul`]
+/// and the fused, output-taking forms the layers call) are cache-blocked
+/// and register-tiled but keep a **fixed accumulation order per output
+/// element** — `k`-ascending for `matmul`, input-row-ascending for
+/// `transpose_matmul` — so their results are bit-identical to the
 /// straightforward scalar loops at any block size and any thread count
 /// (see DESIGN.md §16).
-#[derive(Clone, PartialEq)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -101,6 +101,18 @@ impl Matrix {
         self.data
     }
 
+    /// Reshapes to `rows × cols` with every element `+0.0`, keeping the
+    /// buffer's capacity. Every kernel that writes into a caller's matrix
+    /// starts here, so a reused output accumulates from the same `+0.0`
+    /// as a fresh [`Matrix::zeros`] and, once it has grown to its largest
+    /// shape, costs no allocation.
+    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Row `r` as a slice.
     pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
@@ -121,29 +133,9 @@ impl Matrix {
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "inner dimensions differ");
-        matmul_impl(self, None, other)
-    }
-
-    /// Fused `[self ‖ right] · other` without materialising the
-    /// concatenation (`n×dₗ ‖ n×dᵣ · (dₗ+dᵣ)×h → n×h`).
-    ///
-    /// The virtual `k` dimension runs over `self`'s columns then `right`'s,
-    /// the same order [`Matrix::hconcat`] lays them out in, so the result
-    /// is bit-identical to `self.hconcat(right).matmul(other)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row counts differ or the combined width does not
-    /// match `other`'s row count.
-    pub fn matmul_concat(&self, right: &Matrix, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, right.rows, "row counts differ");
-        assert_eq!(
-            self.cols + right.cols,
-            other.rows,
-            "inner dimensions differ"
-        );
-        matmul_impl(self, Some(right), other)
+        let mut out = Matrix::default();
+        matmul_impl(self, None, other, &mut out);
+        out
     }
 
     /// The transpose `selfᵀ` (`n×d → d×n`), built in a single pass.
@@ -185,53 +177,9 @@ impl Matrix {
     ///
     /// Panics if the row counts differ.
     pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "row counts differ");
-        let (d, h) = (self.cols, other.cols);
-        let mut out = Matrix::zeros(d, h);
-        if d == 0 || h == 0 || self.rows == 0 {
-            return out;
-        }
-        parallel_row_chunks(d, h, self.rows, &mut out.data, |k0, chunk| {
-            tmm_chunk(self, other, k0, chunk);
-        });
+        let mut out = Matrix::default();
+        transpose_matmul_impl(self, None, other, &mut out);
         out
-    }
-
-    /// Fused `[self ‖ right]ᵀ · other` without materialising the
-    /// concatenation: rows `0..dₗ` of the result are `selfᵀ·other`, rows
-    /// `dₗ..` are `rightᵀ·other`, each accumulated in the same ascending
-    /// input-row order as the unfused kernel — bit-identical to
-    /// `self.hconcat(right).transpose_matmul(other)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row count differs from `other`'s.
-    pub fn transpose_matmul_concat(&self, right: &Matrix, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "row counts differ");
-        assert_eq!(right.rows, other.rows, "row counts differ");
-        let top = self.transpose_matmul(other);
-        let bottom = right.transpose_matmul(other);
-        let mut data = top.data;
-        data.extend_from_slice(&bottom.data);
-        Matrix {
-            rows: self.cols + right.cols,
-            cols: other.cols,
-            data,
-        }
-    }
-
-    /// `self · otherᵀ` (`n×h · d×h ᵀ → n×d`), used for input gradients.
-    ///
-    /// Implemented as `self · (otherᵀ)` through the k-ascending [`matmul`]
-    /// kernel: each output element is a dot product accumulated in the same
-    /// order either way, but the row-major kernel vectorises where a
-    /// per-element scalar reduction cannot, and `other` (a weight matrix at
-    /// every call site) is small next to the multiply itself.
-    ///
-    /// [`matmul`]: Matrix::matmul
-    pub fn matmul_transpose(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "column counts differ");
-        self.matmul(&other.transpose())
     }
 
     /// Horizontal concatenation `[self | other]`.
@@ -333,17 +281,72 @@ fn parallel_row_chunks(
     });
 }
 
-/// `[left ‖ right?] · b` into a fresh matrix, row-partitioned over threads.
-fn matmul_impl(left: &Matrix, right: Option<&Matrix>, b: &Matrix) -> Matrix {
+/// `[left ‖ right?] · b` into `out` (`n×dₗ ‖ n×dᵣ · (dₗ+dᵣ)×h → n×h`),
+/// row-partitioned over threads, without materialising the concatenation.
+///
+/// The virtual `k` dimension runs over `left`'s columns then `right`'s,
+/// the same order [`Matrix::hconcat`] lays them out in, so the result is
+/// bit-identical to `left.hconcat(right).matmul(b)`.
+///
+/// # Panics
+///
+/// Panics if the row counts differ or the combined width does not match
+/// `b`'s row count.
+pub(crate) fn matmul_impl(left: &Matrix, right: Option<&Matrix>, b: &Matrix, out: &mut Matrix) {
+    let dr = right.map_or(0, |r| {
+        assert_eq!(left.rows, r.rows, "row counts differ");
+        r.cols
+    });
+    assert_eq!(left.cols + dr, b.rows, "inner dimensions differ");
     let (rows, h) = (left.rows, b.cols);
-    let mut out = Matrix::zeros(rows, h);
+    out.reset_zeros(rows, h);
     if rows == 0 || h == 0 || b.rows == 0 {
-        return out;
+        return;
     }
     parallel_row_chunks(rows, h, b.rows, &mut out.data, |start, chunk| {
         matmul_chunk(left, right, b, start, chunk);
     });
-    out
+}
+
+/// `[left ‖ right?]ᵀ · g` into `out` without materialising the
+/// concatenation: rows `0..dₗ` of the result are `leftᵀ·g`, rows `dₗ..`
+/// are `rightᵀ·g`, each accumulated in the same ascending input-row order
+/// as the unfused kernel — bit-identical to
+/// `left.hconcat(right).transpose_matmul(g)`.
+///
+/// # Panics
+///
+/// Panics if any row count differs from `g`'s.
+pub(crate) fn transpose_matmul_impl(
+    left: &Matrix,
+    right: Option<&Matrix>,
+    g: &Matrix,
+    out: &mut Matrix,
+) {
+    assert_eq!(left.rows, g.rows, "row counts differ");
+    let dr = right.map_or(0, |r| {
+        assert_eq!(r.rows, g.rows, "row counts differ");
+        r.cols
+    });
+    let (dl, h) = (left.cols, g.cols);
+    out.reset_zeros(dl + dr, h);
+    let (top, bottom) = out.data.split_at_mut(dl * h);
+    tmm_rows(left, g, top);
+    if let Some(r) = right {
+        tmm_rows(r, g, bottom);
+    }
+}
+
+/// `aᵀ · g` into the zeroed `a.cols × g.cols` block `out`, with output
+/// rows partitioned over threads.
+fn tmm_rows(a: &Matrix, g: &Matrix, out: &mut [f32]) {
+    let (d, h) = (a.cols, g.cols);
+    if d == 0 || h == 0 || a.rows == 0 {
+        return;
+    }
+    parallel_row_chunks(d, h, a.rows, out, |k0, chunk| {
+        tmm_chunk(a, g, k0, chunk);
+    });
 }
 
 /// The blocked `matmul` kernel over output rows `start..start+chunk/h`.
@@ -656,6 +659,20 @@ mod tests {
         })
     }
 
+    /// `[left ‖ right] · b` through the fused kernel.
+    fn matmul_concat(left: &Matrix, right: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        matmul_impl(left, Some(right), b, &mut out);
+        out
+    }
+
+    /// `[left ‖ right]ᵀ · g` through the fused kernel.
+    fn transpose_matmul_concat(left: &Matrix, right: &Matrix, g: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        transpose_matmul_impl(left, Some(right), g, &mut out);
+        out
+    }
+
     /// Bitwise equality — `==` on floats would treat `-0.0` and `0.0` as
     /// equal and hide sign regressions.
     fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
@@ -693,9 +710,9 @@ mod tests {
                     );
                     let d = probe(n, k, 4);
                     assert_bits_eq(
-                        &a.matmul_transpose(&d),
+                        &a.matmul(&d.transpose()),
                         &oracle_matmul(&a, &oracle_transpose(&d)),
-                        &format!("matmul_transpose {m}x{k}x{n}"),
+                        &format!("matmul by a transpose {m}x{k}x{n}"),
                     );
                 }
             }
@@ -733,18 +750,57 @@ mod tests {
                     let z = left.hconcat(&right);
                     let w = probe(dl + dr, 7, 11);
                     assert_bits_eq(
-                        &left.matmul_concat(&right, &w),
+                        &matmul_concat(&left, &right, &w),
                         &z.matmul(&w),
                         &format!("matmul_concat {m}x[{dl}|{dr}]"),
                     );
                     let g = probe(m, 7, 12);
                     assert_bits_eq(
-                        &left.transpose_matmul_concat(&right, &g),
+                        &transpose_matmul_concat(&left, &right, &g),
                         &z.transpose_matmul(&g),
                         &format!("transpose_matmul_concat {m}x[{dl}|{dr}]"),
                     );
                 }
             }
+        }
+    }
+
+    /// Kernels writing into a reused matrix overwrite all of it: stale
+    /// values, negative zeros and NaNs included, never reach the result,
+    /// and a buffer that is already large enough keeps its allocation.
+    #[test]
+    fn reused_outputs_match_fresh_ones_bitwise() {
+        let mut out = Matrix::from_fn(
+            40,
+            40,
+            |r, c| {
+                if (r + c) % 2 == 0 {
+                    -0.0
+                } else {
+                    f32::NAN
+                }
+            },
+        );
+        let ptr = out.data().as_ptr();
+        for &(m, dl, dr, h) in &[
+            (5usize, 3usize, 4usize, 7usize),
+            (13, 0, 8, 2),
+            (8, 6, 0, 31),
+        ] {
+            let left = probe(m, dl, 22);
+            let right = probe(m, dr, 23);
+            let z = left.hconcat(&right);
+            let w = probe(dl + dr, h, 24);
+            matmul_impl(&left, Some(&right), &w, &mut out);
+            assert_bits_eq(&out, &z.matmul(&w), &format!("matmul {m}x[{dl}|{dr}]"));
+            let g = probe(m, h, 25);
+            transpose_matmul_impl(&left, Some(&right), &g, &mut out);
+            assert_bits_eq(
+                &out,
+                &z.transpose_matmul(&g),
+                &format!("transpose_matmul {m}x[{dl}|{dr}]"),
+            );
+            assert_eq!(out.data().as_ptr(), ptr, "the buffer was reallocated");
         }
     }
 
@@ -799,7 +855,7 @@ mod tests {
         // Transpose-variants on the same degenerate shapes.
         assert_eq!(empty_cols.transpose_matmul(&a).rows(), 0);
         assert_eq!(empty_rows.transpose_matmul(&Matrix::zeros(0, 2)).rows(), 3);
-        assert_eq!(a.matmul_transpose(&Matrix::zeros(0, 4)).cols(), 0);
+        assert_eq!(a.matmul(&Matrix::zeros(0, 4).transpose()).cols(), 0);
 
         // Concats, splits, transpose, reductions.
         let cat = empty_cols.hconcat(&probe(3, 2, 17));
@@ -819,12 +875,12 @@ mod tests {
         let right = probe(3, 4, 19);
         let w = probe(4, 2, 20);
         assert_bits_eq(
-            &left.matmul_concat(&right, &w),
+            &matmul_concat(&left, &right, &w),
             &right.matmul(&w),
             "empty left half",
         );
         assert_bits_eq(
-            &right.matmul_concat(&left, &probe(4, 2, 20)),
+            &matmul_concat(&right, &left, &probe(4, 2, 20)),
             &right.matmul(&w),
             "empty right half",
         );
@@ -876,15 +932,6 @@ mod tests {
         // aᵀ is 3x2; aᵀ·b is 3x2.
         let at = Matrix::from_vec(3, 2, vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
         assert_eq!(at_b.data(), at.matmul(&b).data());
-    }
-
-    #[test]
-    fn matmul_transpose_matches_explicit_transpose() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Matrix::from_vec(4, 3, (0..12).map(|x| x as f32).collect());
-        let got = a.matmul_transpose(&b);
-        let bt = Matrix::from_fn(3, 4, |r, c| b[(c, r)]);
-        assert_eq!(got.data(), a.matmul(&bt).data());
     }
 
     #[test]
@@ -948,7 +995,7 @@ mod tests {
         // which matches this accumulation order per output row.
         assert_eq!(tm.data(), naive_tm.data());
 
-        let mt = got.matmul_transpose(&got);
+        let mt = got.matmul(&got.transpose());
         assert_eq!((mt.rows(), mt.cols()), (n, n));
         // Gram matrix: entry (i, j) is the dot product of rows i and j.
         let dot = |i: usize, j: usize| -> f32 {

@@ -761,6 +761,34 @@ mod tests {
         );
     }
 
+    /// A `Raw` program's declared memory is allocated by the golden run a
+    /// budget query starts, so the decoder caps it before anything is
+    /// allocated.
+    #[test]
+    fn oversized_declared_memory_is_a_typed_error() {
+        let frame = |mem_words: u64| {
+            let mut b = FrameBuilder::new(MAGIC);
+            b.u8(OP_PREDICT)
+                .u32(8) // stride
+                .u32(4) // top_k
+                .u8(0) // want_bits
+                .u8(1) // ProgramSpec::Raw tag
+                .str("huge")
+                .u64(mem_words)
+                .u32(1) // instruction count
+                .raw(&glaive_isa::Instr::Halt.encode());
+            Request::from_frame(b.seal().bytes())
+        };
+        assert!(frame(1 << 22).is_ok(), "the cap itself is accepted");
+        for mem_words in [(1 << 22) + 1, 1 << 40, u64::MAX] {
+            assert_eq!(
+                frame(mem_words),
+                Err(ProtocolError::Corrupt("mem_words exceeds cap")),
+                "{mem_words}"
+            );
+        }
+    }
+
     #[test]
     fn oversized_length_prefix_is_rejected_before_allocation() {
         let mut wire = Vec::new();

@@ -89,6 +89,11 @@ pub const MAX_FRAME_LEN: u32 = 64 << 20;
 const PROGRAM_NAME_CAP: usize = 1 << 12;
 /// Most instructions of a program in a frame.
 const PROGRAM_INSTR_CAP: usize = 1 << 20;
+/// Most memory words a program in a frame may declare. A simulator
+/// allocates them all up front, and a failed allocation aborts the
+/// process, so the cap is checked before anything is allocated. The
+/// largest suite program declares 131,536 words.
+const PROGRAM_MEM_WORDS_CAP: usize = 1 << 22;
 
 /// Typed decode/transport failure. Every malformed input maps here — the
 /// protocol layer never panics on wire bytes.
@@ -377,19 +382,21 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a program written by [`FrameBuilder::program`], with at most
-    /// 4 KiB of name and 2²⁰ instructions.
+    /// 4 KiB of name, 2²² memory words and 2²⁰ instructions.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Corrupt`] for an over-cap name or instruction
-    /// count, an undecodable instruction, or instructions that do not form
-    /// a valid [`Program`] (a checksummed frame can still carry a dangling
-    /// branch target); [`ProtocolError::Truncated`] when the body ends
-    /// early.
+    /// [`ProtocolError::Corrupt`] for an over-cap name, memory size or
+    /// instruction count, an undecodable instruction, or instructions that
+    /// do not form a valid [`Program`] (a checksummed frame can still carry
+    /// a dangling branch target); [`ProtocolError::Truncated`] when the
+    /// body ends early.
     pub fn program(&mut self) -> Result<Program, ProtocolError> {
         let name = self.string(PROGRAM_NAME_CAP)?;
         let mem_words = usize::try_from(self.u64()?)
-            .map_err(|_| ProtocolError::Corrupt("mem_words overflows usize"))?;
+            .ok()
+            .filter(|&words| words <= PROGRAM_MEM_WORDS_CAP)
+            .ok_or(ProtocolError::Corrupt("mem_words exceeds cap"))?;
         let count = self.u32()? as usize;
         if count > PROGRAM_INSTR_CAP {
             return Err(ProtocolError::Corrupt("instruction count exceeds cap"));

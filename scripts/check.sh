@@ -30,6 +30,9 @@ cargo test -q --offline --workspace
 echo "==> whole-suite injection bit identity (faultsim ignored tests, release)"
 cargo test --release --offline -p glaive-faultsim -- --ignored
 
+echo "==> every estimator train_models fits, pinned at the train workload's shape (release)"
+cargo test --release --offline --test model_identity -- --ignored
+
 echo "==> lowered interpreter against the reference interpreter (sim ignored tests, release)"
 cargo test --release --offline -p glaive-sim -- --ignored
 
