@@ -148,7 +148,6 @@ pub fn build(seed: u64) -> Benchmark {
         split: Split::TrainTest,
         compiled,
         init_mem,
-        hang_factor: 4,
     }
 }
 

@@ -81,7 +81,6 @@ pub fn build(seed: u64) -> Benchmark {
         split: Split::Validation,
         compiled,
         init_mem,
-        hang_factor: 4,
     }
 }
 

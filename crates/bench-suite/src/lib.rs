@@ -103,9 +103,6 @@ pub struct Benchmark {
     pub compiled: CompiledProgram,
     /// Initial data-memory image holding the benchmark inputs.
     pub init_mem: Vec<u64>,
-    /// Dynamic-instruction budget multiplier for fault runs; the hang
-    /// detector allows `hang_factor ×` the golden run length.
-    pub hang_factor: u64,
 }
 
 impl Benchmark {

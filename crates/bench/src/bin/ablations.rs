@@ -9,20 +9,14 @@
 //!    sensitivity.
 //!
 //! Run on the data-sensitive category (where the paper's deltas are
-//! largest) to keep runtime manageable.
+//! largest) to keep runtime manageable. No ablation changes the fault
+//! campaigns, so the suite is prepared once (through the artifact cache,
+//! like every paper binary) and each ablation trains on a copy.
 
 use glaive::experiments::Evaluation;
 use glaive::metrics::bit_accuracy;
-use glaive::{prepare_suite, BenchData, Error, Method, PipelineConfig};
-use glaive_bench::EXPERIMENT_SEED;
+use glaive::{BenchData, Error, Method};
 use glaive_bench_suite::Category;
-
-fn data_suite(config: &PipelineConfig) -> Vec<BenchData> {
-    prepare_suite(EXPERIMENT_SEED, config)
-        .into_iter()
-        .filter(|d| d.bench.category == Category::Data)
-        .collect()
-}
 
 fn mean_accuracy(eval: &Evaluation, vanilla: bool) -> Result<f64, Error> {
     let suite = eval.suite();
@@ -41,28 +35,35 @@ fn mean_accuracy(eval: &Evaluation, vanilla: bool) -> Result<f64, Error> {
 
 fn main() -> std::process::ExitCode {
     glaive_bench::run_experiment(|| {
-        let base = glaive_bench::experiment_config();
+        let (suite, base) = glaive_bench::standard_suite()?;
+        let data: Vec<BenchData> = suite
+            .into_iter()
+            .filter(|d| d.bench.category == Category::Data)
+            .collect();
 
         // 1. Aggregator ablation.
         eprintln!("[1/3] aggregator ablation (predecessor vs all-neighbour)...");
         let mut config = base;
         config.train_vanilla = true;
-        let eval = Evaluation::new(data_suite(&config), &config)?;
+        let eval = Evaluation::new(data.clone(), &config)?;
         println!("# Ablation 1: aggregation direction (data-sensitive mean accuracy)");
         println!("predecessor_mean\t{:.4}", mean_accuracy(&eval, false)?);
         println!("all_neighbour_mean\t{:.4}", mean_accuracy(&eval, true)?);
 
         // 2. Bit-level vs word-level representations, scored against the SAME
         //    FI ground truth (campaign stride stays at the base setting; only
-        //    the graph the models see is coarsened to one node per operand).
+        //    the graph the models see is coarsened to one node per operand,
+        //    by re-joining each benchmark's truth onto the coarser graph).
         eprintln!("[2/3] bit-level vs word-level graphs...");
         println!("# Ablation 2: graph granularity (data-sensitive mean GLAIVE PV error / mean top-K coverage)");
         for graph_stride in [base.bit_stride, 64] {
-            let suite: Vec<BenchData> = glaive::prepare_suite(EXPERIMENT_SEED, &base)
-                .into_iter()
-                .filter(|d| d.bench.category == Category::Data)
-                .map(|d| glaive::prepare_benchmark_with_graph_stride(d.bench, &base, graph_stride))
-                .collect();
+            let suite: Vec<BenchData> = if graph_stride == base.bit_stride {
+                data.clone()
+            } else {
+                data.iter()
+                    .map(|d| d.with_graph_stride(graph_stride))
+                    .collect()
+            };
             let eval = Evaluation::new(suite, &base)?;
             let n = eval.suite().len() as f64;
             let pve: f64 = eval
@@ -93,7 +94,7 @@ fn main() -> std::process::ExitCode {
         for sample in [5usize, 15, 50] {
             let mut config = base;
             config.sage.sample_size = sample;
-            let eval = Evaluation::new(data_suite(&config), &config)?;
+            let eval = Evaluation::new(data.clone(), &config)?;
             println!("sample={sample}\t{:.4}", mean_accuracy(&eval, false)?);
         }
 

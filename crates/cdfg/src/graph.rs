@@ -1,6 +1,6 @@
 use std::collections::HashMap;
 
-use glaive_graph::{CsrGraph, EdgeKind};
+use glaive_graph::CsrGraph;
 use glaive_isa::{OpcodeClass, OperandSlot, Program, Reg, WORD_BITS};
 
 use crate::analysis::{control_deps, def_use_chains, memory_deps};
@@ -84,17 +84,16 @@ impl EdgeStats {
 /// the GNN aggregates over `preds`, i.e. against edge direction, following
 /// Eq. (2) of the paper.
 ///
-/// Both directions are stored as flat, kind-tagged CSR adjacencies
-/// ([`CsrGraph`]) built directly from the analysis edge stream — no
-/// intermediate per-node `Vec`s. [`Cdfg::preds`]/[`Cdfg::succs`] are slice
-/// views into those arrays, and [`Cdfg::preds_csr`] hands the whole
-/// predecessor graph to the GNN as the workspace's shared graph currency.
+/// Only that predecessor direction is stored: one flat CSR adjacency
+/// ([`CsrGraph`]) built directly from the analysis edge stream, with no
+/// intermediate per-node `Vec`s. [`Cdfg::preds`] is a slice view into it,
+/// and [`Cdfg::preds_csr`] hands the whole graph to the GNN as the
+/// workspace's shared graph currency.
 #[derive(Debug, Clone)]
 pub struct Cdfg {
     config: CdfgConfig,
     nodes: Vec<BitNode>,
     preds: CsrGraph,
-    succs: CsrGraph,
     index: HashMap<(usize, OperandSlot, u8), u32>,
     stats: EdgeStats,
 }
@@ -144,10 +143,11 @@ impl Cdfg {
             }
         }
 
-        // One flat producer → consumer edge stream, tagged with the
-        // dependence kind that justified each edge. Stats count the stream
-        // with multiplicity; the CSR build collapses multi-kind pairs.
-        let mut edges: Vec<(u32, u32, u8)> = Vec::new();
+        // One flat edge stream in predecessor orientation: each producer →
+        // consumer edge is pushed as (consumer, producer). Stats count the
+        // stream by dependence kind, with multiplicity; the CSR build
+        // collapses pairs justified more than once.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
         let mut stats = EdgeStats::default();
 
         // 1. Intra-instruction: every source bit → every destination bit.
@@ -160,7 +160,7 @@ impl Cdfg {
                     let from = index[&(pc, OperandSlot::Use(si), sb)];
                     for &db in &bits {
                         let to = index[&(pc, OperandSlot::Def(0), db)];
-                        edges.push((from, to, EdgeKind::Intra.bit()));
+                        edges.push((to, from));
                         stats.intra += 1;
                     }
                 }
@@ -172,7 +172,7 @@ impl Cdfg {
             for &b in &bits {
                 let from = index[&(edge.def_pc, OperandSlot::Def(0), b)];
                 let to = index[&(edge.use_pc, OperandSlot::Use(edge.use_slot), b)];
-                edges.push((from, to, EdgeKind::Data.bit()));
+                edges.push((to, from));
                 stats.data += 1;
             }
         }
@@ -193,7 +193,7 @@ impl Cdfg {
                     let from = index[&(branch_pc, OperandSlot::Use(ui), b)];
                     for &slot in &dep_slots {
                         let to = index[&(dep_pc, slot, b)];
-                        edges.push((from, to, EdgeKind::Control.bit()));
+                        edges.push((to, from));
                         stats.control += 1;
                     }
                 }
@@ -205,25 +205,19 @@ impl Cdfg {
             for &b in &bits {
                 let from = index[&(store_pc, OperandSlot::Use(0), b)];
                 let to = index[&(load_pc, OperandSlot::Def(0), b)];
-                edges.push((from, to, EdgeKind::Memory.bit()));
+                edges.push((to, from));
                 stats.memory += 1;
             }
         }
 
-        // Both directions as CSR: sort + merge replaces the old per-list
-        // sort_unstable + dedup, so row contents are identical to the
-        // nested-Vec representation this replaced (sorted, duplicate-free,
-        // multi-kind pairs collapsed to one edge with a merged kind mask).
-        let reversed: Vec<(u32, u32, u8)> =
-            edges.iter().map(|&(from, to, k)| (to, from, k)).collect();
-        let preds = CsrGraph::from_tagged(nodes.len(), reversed);
-        let succs = CsrGraph::from_tagged(nodes.len(), edges);
+        // Sorted, duplicate-free rows fix the GNN's summation order, which
+        // the pinned model bytes depend on (DESIGN.md §10).
+        let preds = CsrGraph::from_edges(nodes.len(), edges);
 
         Cdfg {
             config: *config,
             nodes,
             preds,
-            succs,
             index,
             stats,
         }
@@ -250,21 +244,10 @@ impl Cdfg {
         self.preds.neighbors(id as usize)
     }
 
-    /// Successors of a node, as a sorted slice view into the flat
-    /// successor CSR.
-    pub fn succs(&self, id: u32) -> &[u32] {
-        self.succs.neighbors(id as usize)
-    }
-
     /// The predecessor-direction graph — GLAIVE's aggregation
-    /// neighbourhood, with per-edge dependence-kind tags.
+    /// neighbourhood.
     pub fn preds_csr(&self) -> &CsrGraph {
         &self.preds
-    }
-
-    /// The successor-direction graph.
-    pub fn succs_csr(&self) -> &CsrGraph {
-        &self.succs
     }
 
     /// Looks up the node id of `(pc, slot, bit)`, if that bit was sampled.
@@ -329,14 +312,13 @@ mod tests {
         let g = Cdfg::build(&p, &cfg(16));
         // li def bit 16 → add use0 bit 16 and use1 bit 16, plus no others.
         let li16 = g.node_id(0, OperandSlot::Def(0), 16).expect("exists");
-        let succ: Vec<u32> = g.succs(li16).to_vec();
-        let want_a = g.node_id(1, OperandSlot::Use(0), 16).expect("exists");
-        let want_b = g.node_id(1, OperandSlot::Use(1), 16).expect("exists");
-        assert!(succ.contains(&want_a));
-        assert!(succ.contains(&want_b));
+        for slot in [OperandSlot::Use(0), OperandSlot::Use(1)] {
+            let use16 = g.node_id(1, slot, 16).expect("exists");
+            assert_eq!(g.preds(use16), &[li16]);
+        }
         // Not to other bit positions.
-        let not = g.node_id(1, OperandSlot::Use(0), 32).expect("exists");
-        assert!(!succ.contains(&not));
+        let use32 = g.node_id(1, OperandSlot::Use(0), 32).expect("exists");
+        assert!(!g.preds(use32).contains(&li16));
     }
 
     #[test]
@@ -352,7 +334,7 @@ mod tests {
         let g = Cdfg::build(&p, &cfg(32));
         let branch_use = g.node_id(1, OperandSlot::Use(0), 0).expect("exists");
         let guarded_def = g.node_id(2, OperandSlot::Def(0), 0).expect("exists");
-        assert!(g.succs(branch_use).contains(&guarded_def));
+        assert!(g.preds(guarded_def).contains(&branch_use));
         assert!(g.edge_stats().control > 0);
     }
 
@@ -370,7 +352,7 @@ mod tests {
         let g = Cdfg::build(&p, &cfg(32));
         let store_val = g.node_id(2, OperandSlot::Use(0), 32).expect("exists");
         let load_def = g.node_id(3, OperandSlot::Def(0), 32).expect("exists");
-        assert!(g.succs(store_val).contains(&load_def));
+        assert!(g.preds(load_def).contains(&store_val));
         assert!(g.edge_stats().memory > 0);
     }
 
@@ -379,7 +361,6 @@ mod tests {
         let p = add_program();
         let g = Cdfg::build(&p, &cfg(8));
         g.preds_csr().check_invariants().expect("pred CSR valid");
-        g.succs_csr().check_invariants().expect("succ CSR valid");
         let mut pred_edge_count = 0;
         for id in 0..g.node_count() as u32 {
             let preds = g.preds(id);
@@ -387,12 +368,8 @@ mod tests {
             let mut sorted = preds.to_vec();
             sorted.dedup();
             assert_eq!(sorted.len(), preds.len(), "duplicate predecessor");
-            for &from in preds {
-                assert!(g.succs(from).contains(&id), "pred/succ mismatch");
-            }
         }
         assert_eq!(pred_edge_count, g.edge_count());
-        assert_eq!(g.succs_csr().edge_count(), g.edge_count());
     }
 
     #[test]
@@ -429,36 +406,6 @@ mod tests {
         assert!(!node.is_float);
     }
 
-    #[test]
-    fn kind_tags_partition_the_adjacency() {
-        let mut asm = Asm::new("kinds");
-        asm.set_mem_words(8);
-        let end = asm.label();
-        asm.li(Reg(1), 0); // 0
-        asm.li(Reg(2), 42); // 1
-        asm.store(Reg(2), Reg(1), 3); // 2
-        asm.branch(BranchCond::Ne, Reg(1), Reg(2), end); // 3
-        asm.load(Reg(3), Reg(1), 3); // 4 guarded
-        asm.bind(end);
-        asm.out(Reg(3)); // 5
-        asm.halt();
-        let p = asm.finish().expect("resolves");
-        let g = Cdfg::build(&p, &cfg(32));
-        let [intra, data, control, memory] = g.preds_csr().kind_counts();
-        assert!(intra > 0 && data > 0 && control > 0 && memory > 0);
-        // A kind-filtered view selects exactly the edges of that kind and
-        // keeps every one of them, without re-running the analyses.
-        let mem_only = g.preds_csr().filtered(glaive_graph::EdgeKind::Memory.bit());
-        mem_only.check_invariants().expect("valid");
-        assert_eq!(mem_only.edge_count(), memory);
-        let load_def = g.node_id(4, OperandSlot::Def(0), 0).expect("exists");
-        let store_val = g.node_id(2, OperandSlot::Use(0), 0).expect("exists");
-        assert!(mem_only.neighbors(load_def as usize).contains(&store_val));
-        // Filtering by every kind reproduces the full adjacency.
-        let all = g.preds_csr().filtered(glaive_graph::EdgeKind::ALL_MASK);
-        assert_eq!(&all, g.preds_csr());
-    }
-
     /// Representation parity: the CSR rows must be byte-identical to the
     /// nested-Vec adjacency the pre-CSR builder produced (push per edge,
     /// then per-list `sort_unstable` + `dedup`).
@@ -481,29 +428,23 @@ mod tests {
 
         for stride in [8usize, 16, 64] {
             let g = Cdfg::build(&p, &cfg(stride));
-            let (preds, succs) = legacy_adjacency(&p, &g);
+            let preds = legacy_preds(&p, &g);
             for id in 0..g.node_count() as u32 {
                 assert_eq!(g.preds(id), &preds[id as usize][..], "preds of {id}");
-                assert_eq!(g.succs(id), &succs[id as usize][..], "succs of {id}");
             }
         }
     }
 
     /// The pre-CSR adjacency construction, kept as a test oracle: nested
     /// per-node Vecs filled edge by edge, then sorted and de-duplicated.
-    #[allow(clippy::type_complexity)]
-    fn legacy_adjacency(p: &Program, g: &Cdfg) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+    fn legacy_preds(p: &Program, g: &Cdfg) -> Vec<Vec<u32>> {
         let bits: Vec<u8> = (0..WORD_BITS)
             .step_by(g.config().bit_stride)
             .map(|b| b as u8)
             .collect();
         let id = |pc: usize, slot: OperandSlot, bit: u8| g.node_id(pc, slot, bit).expect("node");
         let mut preds: Vec<Vec<u32>> = vec![Vec::new(); g.node_count()];
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); g.node_count()];
-        let add = |from: u32, to: u32, preds: &mut Vec<Vec<u32>>, succs: &mut Vec<Vec<u32>>| {
-            preds[to as usize].push(from);
-            succs[from as usize].push(to);
-        };
+        let add = |from: u32, to: u32, preds: &mut Vec<Vec<u32>>| preds[to as usize].push(from);
         for (pc, instr) in p.instrs().iter().enumerate() {
             if instr.defs().is_empty() {
                 continue;
@@ -515,7 +456,6 @@ mod tests {
                             id(pc, OperandSlot::Use(si), sb),
                             id(pc, OperandSlot::Def(0), db),
                             &mut preds,
-                            &mut succs,
                         );
                     }
                 }
@@ -527,7 +467,6 @@ mod tests {
                     id(e.def_pc, OperandSlot::Def(0), b),
                     id(e.use_pc, OperandSlot::Use(e.use_slot), b),
                     &mut preds,
-                    &mut succs,
                 );
             }
         }
@@ -546,7 +485,6 @@ mod tests {
                             id(branch_pc, OperandSlot::Use(ui), b),
                             id(dep_pc, slot, b),
                             &mut preds,
-                            &mut succs,
                         );
                     }
                 }
@@ -558,14 +496,13 @@ mod tests {
                     id(store_pc, OperandSlot::Use(0), b),
                     id(load_pc, OperandSlot::Def(0), b),
                     &mut preds,
-                    &mut succs,
                 );
             }
         }
-        for list in preds.iter_mut().chain(succs.iter_mut()) {
+        for list in &mut preds {
             list.sort_unstable();
             list.dedup();
         }
-        (preds, succs)
+        preds
     }
 }

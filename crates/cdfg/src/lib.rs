@@ -14,6 +14,11 @@
 //!    destination-operand bit, and inter-instruction edges connecting equal
 //!    bit positions (a register transfer preserves bit positions).
 //!
+//! The graph keeps one adjacency: the predecessor CSR
+//! ([`Cdfg::preds_csr`]) that GLAIVE's untyped MEAN aggregation reads
+//! (paper Eq. 2). Edges carry no dependence-kind tags; [`EdgeStats`]
+//! counts each kind from the construction's edge stream.
+//!
 //! `bit_stride` subsamples bit positions (stride 1 = all 64, the paper's
 //! setting; the default of 8 keeps graphs small enough for the from-scratch
 //! CPU GNN while preserving the bit-position signal — see DESIGN.md §1).

@@ -140,24 +140,6 @@ fn edges_are_justified() {
     }
 }
 
-/// pred/succ adjacency views are mutually consistent.
-#[test]
-fn adjacency_views_agree() {
-    let mut rng = Rng(23);
-    for _ in 0..CASES {
-        let p = build_program(&rng.body(25));
-        let g = Cdfg::build(&p, &CdfgConfig { bit_stride: 16 });
-        for v in 0..g.node_count() as u32 {
-            for &u in g.preds(v) {
-                assert!(g.succs(u).contains(&v));
-            }
-            for &w in g.succs(v) {
-                assert!(g.preds(w).contains(&v));
-            }
-        }
-    }
-}
-
 /// Def-use chains never flow backwards against single-pass order unless
 /// a loop exists; with only forward branches, def_pc < use_pc.
 #[test]

@@ -5,8 +5,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use glaive::telemetry::{Fanout, Observer, Stage, StderrProgress, TimingRecorder};
-use glaive::{train_glaive, truth_key, ArtifactCache, Pipeline, PipelineConfig, QuorumPolicy};
+use glaive::telemetry::{Fanout, Observer, StderrProgress, TimingRecorder};
+use glaive::{truth_key, ArtifactCache, Pipeline, PipelineConfig, QuorumPolicy};
 use glaive_bench_suite::{suite, Benchmark};
 use glaive_campaign::{run_worker_with, Coordinator, FabricConfig, FabricError, WorkerOptions};
 use glaive_cdfg::{Cdfg, CdfgConfig};
@@ -517,12 +517,21 @@ fn cmd_graph(name: &str, flags: &Flags) -> CliResult {
         .map(|v| g.preds(v).len())
         .max()
         .unwrap_or(0);
-    let isolated = (0..g.node_count() as u32)
-        .filter(|&v| g.preds(v).is_empty() && g.succs(v).is_empty())
-        .count();
     println!("  max in-degree:  {max_in}");
-    println!("  isolated nodes: {isolated}");
+    println!("  isolated nodes: {}", isolated_nodes(&g));
     Ok(())
+}
+
+/// Nodes with no edge at all: an empty predecessor row, and absent from
+/// every other node's row.
+fn isolated_nodes(g: &Cdfg) -> usize {
+    let mut is_pred = vec![false; g.node_count()];
+    for &p in g.preds_csr().targets() {
+        is_pred[p as usize] = true;
+    }
+    (0..g.node_count() as u32)
+        .filter(|&v| g.preds(v).is_empty() && !is_pred[v as usize])
+        .count()
 }
 
 fn pipeline_config(flags: &Flags) -> PipelineConfig {
@@ -557,7 +566,7 @@ fn cmd_train(out: &str, names: &str, flags: &Flags) -> CliResult {
     } else {
         Arc::new(Fanout(vec![recorder.clone()]))
     };
-    let mut builder = Pipeline::builder(config).observer(observer.clone());
+    let mut builder = Pipeline::builder(config).observer(observer);
     if !flags.no_cache {
         builder = builder.default_cache();
     }
@@ -576,15 +585,7 @@ fn cmd_train(out: &str, names: &str, flags: &Flags) -> CliResult {
     let train = report.take_prepared();
     let refs: Vec<&_> = train.iter().collect();
     eprintln!("training GLAIVE on {} benchmarks...", refs.len());
-    let subject = refs
-        .iter()
-        .map(|d| d.bench.name)
-        .collect::<Vec<_>>()
-        .join(",");
-    observer.stage_started(Stage::Training, &subject);
-    let t0 = Instant::now();
-    let model = train_glaive(&refs, &config);
-    observer.stage_finished(Stage::Training, &subject, t0.elapsed(), refs.len() as u64);
+    let model = pipeline.train_glaive(&refs)?;
     let bytes = model.to_bytes();
     std::fs::write(out, &bytes)?;
     if flags.verbose {
@@ -906,6 +907,22 @@ mod tests {
         dispatch(&argv(&["list"])).expect("list");
         dispatch(&argv(&["disasm", "lu"])).expect("disasm");
         dispatch(&argv(&["graph", "lu", "--stride", "32"])).expect("graph");
+    }
+
+    #[test]
+    fn isolated_nodes_have_no_edge_in_either_direction() {
+        use glaive_isa::{Asm, Reg};
+        // `li r1` feeds `out r1`; `li r2` defines a value nothing reads.
+        let mut asm = Asm::new("iso");
+        asm.li(Reg(1), 3);
+        asm.li(Reg(2), 4);
+        asm.out(Reg(1));
+        asm.halt();
+        let p = asm.finish().expect("resolves");
+        let g = Cdfg::build(&p, &CdfgConfig { bit_stride: 16 });
+        // Only r2's four sampled def bits are isolated: r1's def bits
+        // have no predecessor but are the out bits' predecessors.
+        assert_eq!(isolated_nodes(&g), 4);
     }
 
     #[test]

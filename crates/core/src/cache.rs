@@ -10,10 +10,12 @@
 //! change results.
 //!
 //! Reads are infallible by design: a missing, truncated, corrupted or
-//! version-mismatched artifact is a cache *miss* (the serialisation layers
-//! in `glaive-faultsim` and `glaive-gnn` carry magic, version and checksum
-//! fields to detect this), and the pipeline recomputes. Only writes can
-//! fail, and the pipeline treats those as non-fatal too.
+//! version-mismatched artifact is a cache *miss*, and the pipeline
+//! recomputes. Ground truth detects corruption itself (GLVFIT01 carries
+//! magic, version and checksum fields); the GLAIVE01 model format has no
+//! checksum, so the cache appends an FNV-1a trailer to every model file it
+//! writes and reads a file whose trailer is missing or wrong as a miss.
+//! Only writes can fail, and the pipeline treats those as non-fatal too.
 
 use std::path::{Path, PathBuf};
 
@@ -59,6 +61,13 @@ impl Fnv {
     fn finish(self) -> CacheKey {
         CacheKey(self.0)
     }
+}
+
+/// The FNV-1a checksum a cached model file ends with.
+fn model_checksum(body: &[u8]) -> [u8; 8] {
+    let mut h = Fnv::new("glaive-model-file");
+    h.bytes(body);
+    h.0.to_le_bytes()
 }
 
 fn hash_program_content(h: &mut Fnv, bench: &Benchmark) {
@@ -175,16 +184,23 @@ impl ArtifactCache {
         self.store_bytes("fi", key, &truth.to_bytes())
     }
 
-    /// Looks up a cached trained GLAIVE model. Any decode failure is a
-    /// miss.
+    /// Looks up a cached trained GLAIVE model. A missing or mismatched
+    /// checksum trailer, or any decode failure, is a miss.
     pub fn load_model(&self, key: CacheKey) -> Option<GraphSage> {
         let bytes = self.load_bytes("model", key)?;
-        GraphSage::from_bytes(&bytes).ok()
+        let (body, trailer) = bytes.split_at(bytes.len().checked_sub(8)?);
+        if trailer != model_checksum(body) {
+            return None;
+        }
+        GraphSage::from_bytes(body).ok()
     }
 
-    /// Stores a trained GLAIVE model under `key`.
+    /// Stores a trained GLAIVE model under `key`: its GLAIVE01 bytes
+    /// followed by their checksum.
     pub fn store_model(&self, key: CacheKey, model: &GraphSage) -> Result<(), Error> {
-        self.store_bytes("model", key, &model.to_bytes())
+        let mut bytes = model.to_bytes();
+        bytes.extend_from_slice(&model_checksum(&bytes));
+        self.store_bytes("model", key, &bytes)
     }
 
     /// The campaign checkpoint sink for the ground truth keyed by `key`
@@ -255,6 +271,42 @@ mod tests {
         let config = PipelineConfig::quick_test();
         let lu = crate::data::prepare_benchmark(lu::build(1), &config);
         assert_eq!(model_key(&[&lu], &config).to_string(), "d803583d9aaf4240");
+    }
+
+    #[test]
+    fn corrupted_or_unchecked_models_are_misses() {
+        let config = PipelineConfig::quick_test();
+        let cache = temp_cache("model-flip");
+        let model = GraphSage::try_new(glaive_cdfg::FEATURE_DIM, &config.sage).expect("valid");
+        let key = CacheKey(0x5eed);
+        cache.store_model(key, &model).expect("store");
+        let loaded = cache.load_model(key).expect("intact model loads");
+        assert_eq!(loaded.to_bytes(), model.to_bytes());
+
+        // GLAIVE01 header: magic (8), seven config fields (52) and the
+        // layer count (8), then layer 0's rows and cols (16). Byte 96 is
+        // the low mantissa byte of the fourth weight: flipping a bit there
+        // still decodes to a finite model.
+        let path = cache.dir().join(format!("model-{key}.bin"));
+        let pristine = std::fs::read(&path).expect("read");
+        let mut flipped = pristine.clone();
+        flipped[96] ^= 0x01;
+        assert!(
+            GraphSage::from_bytes(&flipped).is_ok(),
+            "flip stays decodable"
+        );
+        std::fs::write(&path, &flipped).expect("write");
+        assert!(cache.load_model(key).is_none(), "flipped weight must miss");
+
+        // A file without the trailer, as earlier caches wrote, misses too.
+        std::fs::write(&path, model.to_bytes()).expect("write");
+        assert!(
+            cache.load_model(key).is_none(),
+            "trailer-less file must miss"
+        );
+        std::fs::write(&path, &pristine).expect("write");
+        assert!(cache.load_model(key).is_some());
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

@@ -24,11 +24,9 @@ pub struct BenchData {
     pub labels: Vec<usize>,
     /// Whether each CDFG node has an FI label.
     pub mask: Vec<bool>,
-    /// Predecessor CSR graph (GLAIVE's aggregation neighbourhood), with
-    /// per-edge dependence-kind tags for edge-type ablations.
+    /// Predecessor CSR graph (GLAIVE's aggregation neighbourhood), a copy
+    /// of the CDFG's.
     pub preds: CsrGraph,
-    /// Symmetrised CSR neighbourhood (vanilla-GraphSAGE ablation).
-    pub all_neighbors: CsrGraph,
     /// `program.len() × INSTR_FEATURE_DIM` instruction features.
     pub instr_features: Matrix,
     /// FI instruction vulnerability tuple per PC (None = never injected).
@@ -38,6 +36,22 @@ pub struct BenchData {
 }
 
 impl BenchData {
+    /// The symmetrised all-neighbour graph the vanilla GraphSAGE ablation
+    /// aggregates over (paper Eq. 1), built on demand from `preds`.
+    pub fn all_neighbors(&self) -> CsrGraph {
+        self.preds.symmetrised()
+    }
+
+    /// The same benchmark and ground truth re-joined onto a CDFG built at
+    /// `graph_stride`, with no campaign re-run — the fair word-vs-bit
+    /// representation ablation: both representations are scored against
+    /// the *same* FI ground truth, the coarser graph simply cannot see
+    /// per-bit structure. Graph strides must be multiples of the campaign
+    /// stride, otherwise most labels fail to join.
+    pub fn with_graph_stride(&self, graph_stride: usize) -> BenchData {
+        assemble_bench_data(self.bench.clone(), graph_stride, self.truth.clone())
+    }
+
     /// Number of labelled bit-level datapoints (Table II "BL").
     pub fn bit_datapoints(&self) -> usize {
         self.mask.iter().filter(|&&m| m).count()
@@ -60,23 +74,10 @@ impl BenchData {
 
 /// Runs the FI campaign and graph extraction for one benchmark.
 pub fn prepare_benchmark(bench: Benchmark, config: &PipelineConfig) -> BenchData {
-    prepare_benchmark_with_graph_stride(bench, config, config.bit_stride)
-}
-
-/// Like [`prepare_benchmark`] but with a graph stride decoupled from the
-/// campaign stride — the fair word-vs-bit representation ablation: both
-/// representations are scored against the *same* FI ground truth, the
-/// coarser graph simply cannot see per-bit structure. Graph strides must be
-/// multiples of the campaign stride, otherwise most labels fail to join.
-pub fn prepare_benchmark_with_graph_stride(
-    bench: Benchmark,
-    config: &PipelineConfig,
-    graph_stride: usize,
-) -> BenchData {
     let truth = Campaign::try_new(bench.program(), &bench.init_mem, config.campaign())
         .expect("pipeline campaign config is validated")
         .run();
-    assemble_bench_data(bench, graph_stride, truth)
+    assemble_bench_data(bench, config.bit_stride, truth)
 }
 
 /// Profiles `bench`'s golden run under the in-order cost model — the
@@ -148,11 +149,7 @@ pub(crate) fn assemble_bench_data(
         }
     }
 
-    // The predecessor graph is shared with the CDFG verbatim; the vanilla
-    // ablation's all-neighbour view is its symmetrisation (preds ∪ succs,
-    // rows stay sorted and duplicate-free).
     let preds = cdfg.preds_csr().clone();
-    let all_neighbors = preds.symmetrised();
 
     let instr_features = Matrix::from_vec(
         bench.program().len(),
@@ -177,20 +174,10 @@ pub(crate) fn assemble_bench_data(
         labels,
         mask,
         preds,
-        all_neighbors,
         instr_features,
         fi_tuples,
         fi_weights,
     }
-}
-
-/// Prepares all 12 Table-II benchmarks in order, each campaign on
-/// [`PipelineConfig::threads`] cores — a cache-less, silent
-/// [`Pipeline::prepare_suite`](crate::Pipeline::prepare_suite).
-pub fn prepare_suite(seed: u64, config: &PipelineConfig) -> Vec<BenchData> {
-    crate::Pipeline::new(*config)
-        .and_then(|pipeline| pipeline.prepare_suite(seed))
-        .expect("suite preparation failed (see the error for the failing benchmark)")
 }
 
 /// The training set for evaluating on `test`, following the paper's regime
@@ -249,18 +236,19 @@ mod tests {
     #[test]
     fn neighbor_lists_are_symmetrised_supersets() {
         let d = quick_data();
+        let all = d.all_neighbors();
         assert_eq!(d.preds.node_count(), d.cdfg.node_count());
-        assert_eq!(d.all_neighbors.node_count(), d.cdfg.node_count());
+        assert_eq!(all.node_count(), d.cdfg.node_count());
         for id in 0..d.preds.node_count() {
             for p in d.preds.neighbors(id) {
-                assert!(d.all_neighbors.neighbors(id).contains(p));
+                assert!(all.neighbors(id).contains(p));
             }
         }
-        // Symmetry: u in all_neighbors[v] ⇒ v in all_neighbors[u].
-        for v in 0..d.all_neighbors.node_count() {
-            for &u in d.all_neighbors.neighbors(v) {
+        // Symmetry: u in all[v] ⇒ v in all[u].
+        for v in 0..all.node_count() {
+            for &u in all.neighbors(v) {
                 assert!(
-                    d.all_neighbors.neighbors(u as usize).contains(&(v as u32)),
+                    all.neighbors(u as usize).contains(&(v as u32)),
                     "asymmetric neighbourhood {v} ↔ {u}"
                 );
             }

@@ -11,12 +11,12 @@ use std::time::Instant;
 use glaive_bench_suite::{Category, Split};
 use glaive_faultsim::Campaign;
 
-use crate::cache::{model_key, ArtifactCache};
+use crate::cache::ArtifactCache;
 use crate::config::PipelineConfig;
 use crate::data::{train_set, BenchData};
 use crate::error::Error;
 use crate::metrics::{bit_accuracy, program_vulnerability_error, top_k_coverage};
-use crate::models::{train_models_with, Method, Models};
+use crate::models::{cached_glaive, train_models_with, Method, Models};
 use crate::telemetry::{NullObserver, Observer, Stage};
 
 /// The number of workers a pool of `jobs` jobs should actually use
@@ -301,23 +301,11 @@ fn train_split(
     cache: Option<&ArtifactCache>,
     observer: &dyn Observer,
 ) -> Result<Models, Error> {
-    let cached = cache.and_then(|c| {
-        let hit = c.load_model(model_key(train, config));
-        observer.cache_lookup("model", key, hit.is_some());
-        hit
-    });
-    let was_cached = cached.is_some();
-
     observer.stage_started(Stage::Training, key);
     let t0 = Instant::now();
-    let models = train_models_with(train, config, cached);
+    let glaive = cached_glaive(train, config, cache, observer, key)?;
+    let models = train_models_with(train, config, glaive);
     observer.stage_finished(Stage::Training, key, t0.elapsed(), train.len() as u64);
-
-    if !was_cached {
-        if let Some(c) = cache {
-            c.store_model(model_key(train, config), models.glaive_model())?;
-        }
-    }
     Ok(models)
 }
 

@@ -45,8 +45,8 @@
 //! # }
 //! ```
 //!
-//! The free functions ([`prepare_suite`], [`train_models`], …) remain as
-//! cache-less, telemetry-less conveniences over the same machinery.
+//! The free functions ([`prepare_benchmark`], [`train_models`], …) remain
+//! as cache-less, telemetry-less conveniences over the same machinery.
 
 pub mod analytic;
 mod cache;
@@ -64,11 +64,10 @@ mod truth_source;
 pub use cache::{model_key, truth_key, ArtifactCache, CacheKey};
 pub use config::{PipelineConfig, PipelineConfigBuilder, QuorumPolicy};
 pub use data::{
-    golden_timing_profile, prepare_benchmark, prepare_benchmark_with_graph_stride, prepare_suite,
-    residency_from_profile, train_set, BenchData,
+    golden_timing_profile, prepare_benchmark, residency_from_profile, train_set, BenchData,
 };
 pub use error::Error;
-pub use models::{aggregate_bit_probs, train_glaive, train_models, Method, Models};
+pub use models::{aggregate_bit_probs, train_models, Method, Models};
 pub use pipeline::{BenchOutcome, Pipeline, PipelineBuilder, SuiteReport};
 pub use truth_source::{campaign_error_to_pipeline, LocalTruthSource, TruthSource};
 

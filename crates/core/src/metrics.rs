@@ -33,51 +33,6 @@ pub fn bit_accuracy(bit_preds: &[usize], data: &BenchData) -> f64 {
     correct as f64 / total as f64
 }
 
-/// Per-class confusion matrix over the FI-labelled bit nodes:
-/// `matrix[truth][prediction]` with class order Masked, SDC, Crash.
-///
-/// # Panics
-///
-/// Panics if `bit_preds` does not cover every CDFG node.
-pub fn confusion_matrix(bit_preds: &[usize], data: &BenchData) -> [[usize; 3]; 3] {
-    assert_eq!(
-        bit_preds.len(),
-        data.labels.len(),
-        "one prediction per node"
-    );
-    let mut m = [[0usize; 3]; 3];
-    for (i, &on) in data.mask.iter().enumerate() {
-        if on {
-            m[data.labels[i]][bit_preds[i].min(2)] += 1;
-        }
-    }
-    m
-}
-
-/// Per-class precision and recall from a confusion matrix, in class order
-/// Masked, SDC, Crash. Classes absent from both truth and predictions get
-/// precision/recall 0.
-pub fn precision_recall(confusion: &[[usize; 3]; 3]) -> [(f64, f64); 3] {
-    let mut out = [(0.0, 0.0); 3];
-    for k in 0..3 {
-        let tp = confusion[k][k];
-        let predicted: usize = (0..3).map(|t| confusion[t][k]).sum();
-        let actual: usize = confusion[k].iter().sum();
-        let precision = if predicted == 0 {
-            0.0
-        } else {
-            tp as f64 / predicted as f64
-        };
-        let recall = if actual == 0 {
-            0.0
-        } else {
-            tp as f64 / actual as f64
-        };
-        out[k] = (precision, recall);
-    }
-    out
-}
-
 /// The instruction ranking R induced by estimated tuples over the
 /// FI-covered instructions: descending severity-weighted failure
 /// probability (`2·crash + sdc`, encoding Crash → SDC → Masked), ties
@@ -220,37 +175,6 @@ mod tests {
             let kb = d.fi_tuples[w[1]].expect("covered").ranking_key();
             assert!(ka >= kb, "ranking not descending");
         }
-    }
-
-    #[test]
-    fn confusion_matrix_diagonal_for_oracle() {
-        let d = data();
-        let m = confusion_matrix(&d.labels, &d);
-        let off_diagonal: usize = (0..3)
-            .flat_map(|t| (0..3).map(move |p| (t, p)))
-            .filter(|&(t, p)| t != p)
-            .map(|(t, p)| m[t][p])
-            .sum();
-        assert_eq!(off_diagonal, 0, "oracle predictions are exact");
-        let total: usize = m.iter().flatten().sum();
-        assert_eq!(total, d.bit_datapoints());
-        // Oracle precision/recall is 1 for every class present.
-        for (k, &(prec, rec)) in precision_recall(&m).iter().enumerate() {
-            if m[k][k] > 0 {
-                assert_eq!((prec, rec), (1.0, 1.0));
-            }
-        }
-    }
-
-    #[test]
-    fn confusion_matrix_counts_misclassifications() {
-        let d = data();
-        // Predict everything as class 0 (Masked).
-        let preds = vec![0usize; d.labels.len()];
-        let m = confusion_matrix(&preds, &d);
-        assert_eq!(m[1][0] + m[2][0] + m[0][0], d.bit_datapoints());
-        let pr = precision_recall(&m);
-        assert_eq!(pr[1], (0.0, 0.0), "never-predicted class has zero P/R");
     }
 
     #[test]

@@ -4,9 +4,11 @@ use glaive_ml::{MlpClassifier, RandomForest, SvrRff};
 use glaive_nn::Matrix;
 use glaive_sim::Outcome;
 
+use crate::cache::{model_key, ArtifactCache};
 use crate::config::PipelineConfig;
 use crate::data::BenchData;
 use crate::error::Error;
+use crate::telemetry::Observer;
 
 /// The estimation methods compared throughout §V of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,18 +77,17 @@ pub struct Models {
 ///
 /// Panics if `train` is empty or contains no labelled data.
 pub fn train_models(train: &[&BenchData], config: &PipelineConfig) -> Models {
-    train_models_with(train, config, None)
+    train_models_with(train, config, train_glaive(train, config))
 }
 
-/// Trains the GLAIVE GraphSAGE alone — the model `glaive-cli train`
-/// ships — on one labelled graph per benchmark with predecessor
-/// aggregation; bit-identical to [`Models::glaive_model`] of a
-/// [`train_models`] call on the same inputs.
+/// Trains the GLAIVE GraphSAGE alone on one labelled graph per benchmark
+/// with predecessor aggregation; bit-identical to
+/// [`Models::glaive_model`] of a [`train_models`] call on the same inputs.
 ///
 /// # Panics
 ///
 /// Panics if `train` is empty.
-pub fn train_glaive(train: &[&BenchData], config: &PipelineConfig) -> GraphSage {
+pub(crate) fn train_glaive(train: &[&BenchData], config: &PipelineConfig) -> GraphSage {
     assert!(!train.is_empty(), "training set is empty");
     let graphs: Vec<TrainGraph<'_>> = train
         .iter()
@@ -103,25 +104,56 @@ pub fn train_glaive(train: &[&BenchData], config: &PipelineConfig) -> GraphSage 
     glaive
 }
 
-/// Like [`train_models`], but reusing an already-trained GLAIVE GraphSAGE
-/// (from the artifact cache) instead of training one. The cheap baselines
-/// are always retrained — only the GNN is worth caching.
+/// The GLAIVE GraphSAGE for `train`: the model cached under
+/// [`model_key`] if `cache` holds an intact one, else a freshly trained
+/// one, written back. The one cached training path: evaluation splits and
+/// `glaive-cli train` both go through it.
+///
+/// # Errors
+///
+/// [`Error::Cache`] if a freshly trained model cannot be written back.
+pub(crate) fn cached_glaive(
+    train: &[&BenchData],
+    config: &PipelineConfig,
+    cache: Option<&ArtifactCache>,
+    observer: &dyn Observer,
+    subject: &str,
+) -> Result<GraphSage, Error> {
+    let key = model_key(train, config);
+    if let Some(cache) = cache {
+        let hit = cache.load_model(key);
+        observer.cache_lookup("model", subject, hit.is_some());
+        if let Some(model) = hit {
+            return Ok(model);
+        }
+    }
+    let model = train_glaive(train, config);
+    if let Some(cache) = cache {
+        cache.store_model(key, &model)?;
+    }
+    Ok(model)
+}
+
+/// Like [`train_models`], but around an already-trained GLAIVE GraphSAGE
+/// (from [`cached_glaive`]). The cheap baselines are always retrained —
+/// only the GNN is worth caching.
 pub(crate) fn train_models_with(
     train: &[&BenchData],
     config: &PipelineConfig,
-    pretrained_glaive: Option<GraphSage>,
+    glaive: GraphSage,
 ) -> Models {
     assert!(!train.is_empty(), "training set is empty");
     let feature_dim = train[0].features.cols();
-    let glaive = pretrained_glaive.unwrap_or_else(|| train_glaive(train, config));
 
     // Vanilla ablation: identical except for symmetrised neighbourhoods.
     let vanilla = config.train_vanilla.then(|| {
+        let all_neighbors: Vec<_> = train.iter().map(|d| d.all_neighbors()).collect();
         let vanilla_graphs: Vec<TrainGraph<'_>> = train
             .iter()
-            .map(|d| TrainGraph {
+            .zip(&all_neighbors)
+            .map(|(d, graph)| TrainGraph {
                 features: &d.features,
-                graph: &d.all_neighbors,
+                graph,
                 labels: &d.labels,
                 mask: &d.mask,
             })
@@ -202,7 +234,7 @@ impl Models {
     pub fn vanilla_bit_predictions(&self, data: &BenchData) -> Option<Vec<usize>> {
         self.vanilla
             .as_ref()
-            .map(|v| v.predict_labels(&data.features, &data.all_neighbors))
+            .map(|v| v.predict_labels(&data.features, &data.all_neighbors()))
     }
 
     /// Estimated instruction vulnerability tuples for every PC of `data`

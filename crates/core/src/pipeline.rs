@@ -13,12 +13,14 @@ use std::time::{Duration, Instant};
 
 use glaive_bench_suite::{suite, Benchmark};
 use glaive_faultsim::{CampaignProgress, CheckpointSink, GroundTruth, InterruptReason, RunControl};
+use glaive_gnn::GraphSage;
 
 use crate::cache::{truth_key, ArtifactCache};
 use crate::config::{PipelineConfig, QuorumPolicy};
 use crate::data::{assemble_bench_data, BenchData};
 use crate::error::Error;
 use crate::experiments::Evaluation;
+use crate::models::cached_glaive;
 use crate::telemetry::{NullObserver, Observer, Stage};
 use crate::truth_source::{LocalTruthSource, TruthSource};
 
@@ -414,6 +416,35 @@ impl Pipeline {
         )
     }
 
+    /// Trains the GLAIVE GraphSAGE alone on `train` — the model
+    /// `glaive-cli train` ships — as one training stage. The artifact
+    /// cache is shared with [`Pipeline::evaluation`]: a model cached for
+    /// the same training set and configuration is reused, and a fresh one
+    /// is written back. Bit-identical to
+    /// [`Models::glaive_model`](crate::Models::glaive_model) of a
+    /// [`train_models`](crate::train_models) call on the same inputs.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::EmptySuite`] if `train` is empty, or [`Error::Cache`] on a
+    /// model write-back failure.
+    pub fn train_glaive(&self, train: &[&BenchData]) -> Result<GraphSage, Error> {
+        if train.is_empty() {
+            return Err(Error::EmptySuite);
+        }
+        let subject = train
+            .iter()
+            .map(|d| d.bench.name)
+            .collect::<Vec<_>>()
+            .join(",");
+        let observer = self.observer.as_ref();
+        observer.stage_started(Stage::Training, &subject);
+        let t0 = Instant::now();
+        let model = cached_glaive(train, &self.config, self.cache.as_ref(), observer, &subject)?;
+        observer.stage_finished(Stage::Training, &subject, t0.elapsed(), train.len() as u64);
+        Ok(model)
+    }
+
     /// The whole pipeline: suite preparation, then training and
     /// evaluation.
     pub fn run(&self, seed: u64) -> Result<Evaluation, Error> {
@@ -656,6 +687,31 @@ mod tests {
         assert_eq!(first.truth.records(), second.truth.records());
         assert_eq!(first.labels, second.labels);
         assert_eq!(first.fi_tuples, second.fi_tuples);
+    }
+
+    #[test]
+    fn second_train_glaive_hits_the_model_cache() {
+        let config = PipelineConfig::quick_test();
+        let train = [crate::data::prepare_benchmark(dijkstra::build(1), &config)];
+        let refs: Vec<&BenchData> = train.iter().collect();
+        let rec = Arc::new(TimingRecorder::new());
+        let pipeline = Pipeline::builder(config)
+            .cache(temp_cache("model-hit"))
+            .observer(rec.clone())
+            .build()
+            .expect("valid");
+
+        let first = pipeline.train_glaive(&refs).expect("train").to_bytes();
+        assert_eq!(rec.cache_counts(), (0, 1), "first call trains");
+        let second = pipeline.train_glaive(&refs).expect("cached").to_bytes();
+        assert_eq!(rec.cache_counts(), (1, 1), "second call hits");
+        assert_eq!(first, second);
+        assert_eq!(
+            first,
+            crate::models::train_glaive(&refs, &config).to_bytes(),
+            "cached model is the uncached one"
+        );
+        assert!(matches!(pipeline.train_glaive(&[]), Err(Error::EmptySuite)));
     }
 
     #[test]

@@ -214,22 +214,14 @@ impl SampledCsr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glaive_graph::EdgeKind;
 
     fn chain(n: usize) -> CsrGraph {
-        CsrGraph::from_edges(n, (1..n).map(|v| (v as u32, v as u32 - 1, EdgeKind::Data)))
+        CsrGraph::from_edges(n, (1..n).map(|v| (v as u32, v as u32 - 1)))
     }
 
     #[test]
     fn aggregate_means_neighbour_rows() {
-        let g = CsrGraph::from_edges(
-            3,
-            [
-                (1u32, 0u32, EdgeKind::Data),
-                (2, 0, EdgeKind::Data),
-                (2, 1, EdgeKind::Data),
-            ],
-        );
+        let g = CsrGraph::from_edges(3, [(1u32, 0u32), (2, 0), (2, 1)]);
         let h = Matrix::from_vec(3, 2, vec![2.0, 4.0, 6.0, 8.0, 1.0, 1.0]);
         let mut agg = Matrix::default();
         mean_aggregate(&h, g.view(), &mut agg);
@@ -247,7 +239,7 @@ mod tests {
             (0..12u32).map(|i| {
                 let a = i % 6;
                 let b = (i * 5 + 1) % 6;
-                (a, b, EdgeKind::Data)
+                (a, b)
             }),
         );
         let h = Matrix::from_fn(6, 3, |_, _| rng.uniform(-1.0, 1.0));
@@ -273,8 +265,8 @@ mod tests {
         let g = CsrGraph::from_edges(
             12,
             (1..11u32)
-                .map(|t| (0u32, t, EdgeKind::Data))
-                .chain([(1u32, 10u32, EdgeKind::Data), (1, 11, EdgeKind::Data)]),
+                .map(|t| (0u32, t))
+                .chain([(1u32, 10u32), (1, 11)]),
         );
         let mut ws = SampledCsr::new();
         let mut rng = DetRng::new(1);
@@ -334,10 +326,7 @@ mod tests {
     #[test]
     fn fused_sage_kernels_match_unfused_bitwise() {
         let mut rng = DetRng::new(13);
-        let g = CsrGraph::from_edges(
-            9,
-            (0..20u32).map(|i| (i % 9, (i * 7 + 2) % 9, EdgeKind::Data)),
-        );
+        let g = CsrGraph::from_edges(9, (0..20u32).map(|i| (i % 9, (i * 7 + 2) % 9)));
         let h = Matrix::from_fn(9, 5, |_, _| rng.uniform(-1.0, 1.0));
         let layer = Linear::glorot(10, 4, &mut rng);
         let d_pre = Matrix::from_fn(9, 4, |_, _| rng.uniform(-1.0, 1.0));
@@ -389,7 +378,7 @@ mod tests {
             (0..8 * n as u32).map(|i| {
                 let a = i % n as u32;
                 let b = (i * 31 + 7) % n as u32;
-                (a, b, EdgeKind::Data)
+                (a, b)
             }),
         );
         let h = Matrix::from_fn(n, 64, |_, _| rng.uniform(-1.0, 1.0));

@@ -19,7 +19,7 @@
 //! processes roughly as many labelled nodes as the paper's epoch of
 //! minibatches (documented substitution, see DESIGN.md §1).
 //!
-//! Graphs enter and leave this crate as flat, kind-tagged CSR adjacencies
+//! Graphs enter and leave this crate as flat CSR adjacencies
 //! ([`glaive_graph::CsrGraph`]); the aggregation kernels in [`kernels`]
 //! run over contiguous CSR ranges with no per-node allocation, and
 //! per-epoch neighbour sampling reuses one [`SampledCsr`] workspace.
@@ -27,14 +27,14 @@
 //! # Example
 //!
 //! ```
-//! use glaive_graph::{CsrGraph, EdgeKind};
+//! use glaive_graph::CsrGraph;
 //! use glaive_nn::Matrix;
 //! use glaive_gnn::{GraphSage, SageConfig, TrainGraph};
 //!
 //! // A 4-node chain 0 → 1 → 2 → 3 whose labels depend on the predecessor:
 //! // node v's aggregation row holds its predecessor v-1.
 //! let features = Matrix::from_vec(4, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0]);
-//! let preds = CsrGraph::from_edges(4, (1..4u32).map(|v| (v, v - 1, EdgeKind::Data)));
+//! let preds = CsrGraph::from_edges(4, (1..4u32).map(|v| (v, v - 1)));
 //! let labels = vec![0, 1, 0, 1];
 //! let mask = vec![true; 4];
 //! let graph = TrainGraph {

@@ -541,7 +541,6 @@ fn reduce_into_first(results: &mut [(f32, Vec<LinearGrads>)]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glaive_graph::EdgeKind;
 
     fn small_config() -> SageConfig {
         SageConfig {
@@ -563,7 +562,7 @@ mod tests {
             lists
                 .iter()
                 .enumerate()
-                .flat_map(|(v, ns)| ns.iter().map(move |&u| (v as u32, u, EdgeKind::Data))),
+                .flat_map(|(v, ns)| ns.iter().map(move |&u| (v as u32, u))),
         )
     }
 
@@ -699,7 +698,7 @@ mod tests {
     #[test]
     fn isolated_nodes_aggregate_zero_and_survive() {
         let feats = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
-        let graph = CsrGraph::empty(2);
+        let graph = CsrGraph::from_edges(2, []);
         let labels = vec![0, 1];
         let mask = vec![true, true];
         let graph = TrainGraph {

@@ -153,14 +153,14 @@ impl GraphSage {
 mod tests {
     use super::*;
     use crate::model::TrainGraph;
-    use glaive_graph::{CsrGraph, EdgeKind};
+    use glaive_graph::CsrGraph;
     use glaive_nn::DetRng;
 
     fn trained_model() -> (GraphSage, Matrix, CsrGraph) {
         let mut rng = DetRng::new(3);
         let n = 20;
         let feats = Matrix::from_fn(n, 4, |_, _| rng.uniform(-1.0, 1.0));
-        let preds = CsrGraph::from_edges(n, (1..n as u32).map(|v| (v, v - 1, EdgeKind::Data)));
+        let preds = CsrGraph::from_edges(n, (1..n as u32).map(|v| (v, v - 1)));
         let labels: Vec<usize> = (0..n).map(|v| v % 3).collect();
         let mask = vec![true; n];
         let config = SageConfig {

@@ -1,81 +1,26 @@
-//! The workspace's single graph currency: a flat, kind-tagged compressed
-//! sparse row (CSR) adjacency.
+//! The workspace's single graph currency: a flat compressed sparse row
+//! (CSR) adjacency.
 //!
 //! Every layer that touches graph structure — bit-level CDFG construction
 //! (`glaive-cdfg`), the GraphSAGE kernels (`glaive-gnn`) and the pipeline
 //! (`glaive` core) — speaks [`CsrGraph`]: one `offsets` array (`n + 1`
-//! entries), one flat `targets` array, and one parallel `kinds` array
-//! tagging each retained edge with the union of the dependence kinds
-//! ([`EdgeKind`]) that justified it. Row contents are sorted and
+//! entries) and one flat `targets` array. Row contents are sorted and
 //! de-duplicated, so a row is a canonical neighbourhood and two graphs are
 //! equal iff their flat arrays are equal.
 //!
 //! Invariants (upheld by every constructor):
 //!
 //! - `offsets.len() == node_count + 1`, `offsets[0] == 0`, non-decreasing.
-//! - `targets.len() == kinds.len() == offsets[node_count]`.
+//! - `targets.len() == offsets[node_count]`.
 //! - Within each row `offsets[v]..offsets[v + 1]`, targets are strictly
-//!   increasing (sorted, no duplicates); a multi-kind node pair collapses
-//!   to one edge whose kind mask ORs the kinds.
+//!   increasing (sorted, no duplicates).
 //!
 //! The layout is what makes the downstream kernels cheap: a node's
 //! neighbourhood is one contiguous slice (no pointer chasing, no per-node
-//! heap cells), kind-filtered ablation views are a linear scan
-//! ([`CsrGraph::filtered`]) instead of a re-run of the program analyses,
-//! and row-blocked parallel aggregation can hand each worker a contiguous
-//! span of rows.
+//! heap cells), and row-blocked parallel aggregation can hand each worker
+//! a contiguous span of rows.
 
 use std::fmt;
-
-/// The dependence kind that justified an edge of the bit-level CDFG.
-///
-/// Kinds are stored per edge as a bitmask ([`EdgeKind::bit`]) so an edge
-/// justified by several analyses (e.g. both a register def-use and a memory
-/// dependence) keeps every tag while appearing once in the adjacency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EdgeKind {
-    /// Intra-instruction source-bit → destination-bit edge.
-    Intra,
-    /// Inter-instruction register def-use (`D_D`) edge.
-    Data,
-    /// Control-dependence (`D_C`) edge.
-    Control,
-    /// Memory-dependence (`D_M`) edge.
-    Memory,
-}
-
-impl EdgeKind {
-    /// All kinds, in mask-bit order.
-    pub const ALL: [EdgeKind; 4] = [
-        EdgeKind::Intra,
-        EdgeKind::Data,
-        EdgeKind::Control,
-        EdgeKind::Memory,
-    ];
-
-    /// The kind's bit in an edge's kind mask.
-    pub fn bit(self) -> u8 {
-        match self {
-            EdgeKind::Intra => 1 << 0,
-            EdgeKind::Data => 1 << 1,
-            EdgeKind::Control => 1 << 2,
-            EdgeKind::Memory => 1 << 3,
-        }
-    }
-
-    /// Mask selecting every kind.
-    pub const ALL_MASK: u8 = 0b1111;
-
-    /// Short name used in diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            EdgeKind::Intra => "intra",
-            EdgeKind::Data => "data",
-            EdgeKind::Control => "control",
-            EdgeKind::Memory => "memory",
-        }
-    }
-}
 
 /// A borrowed view of CSR adjacency structure (offsets + targets), the
 /// argument type of the GNN kernels. Both [`CsrGraph`] and sampled
@@ -129,84 +74,45 @@ impl<'a> CsrView<'a> {
     }
 }
 
-/// A flat, kind-tagged CSR adjacency — see the crate docs for invariants.
+/// A flat CSR adjacency — see the crate docs for invariants.
 #[derive(Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     offsets: Vec<u32>,
     targets: Vec<u32>,
-    kinds: Vec<u8>,
 }
 
 impl CsrGraph {
-    /// An edgeless graph over `n` nodes.
-    pub fn empty(n: usize) -> CsrGraph {
-        CsrGraph {
-            offsets: vec![0; n + 1],
-            targets: Vec::new(),
-            kinds: Vec::new(),
-        }
-    }
-
-    /// Builds a graph from `(row, target, kind)` edges. Duplicate
-    /// `(row, target)` pairs collapse to one edge whose kind mask is the
-    /// union of their kinds.
+    /// Builds a graph from `(row, target)` edges; duplicate pairs collapse
+    /// to one edge. Passing a `Vec` reuses its allocation for the sort.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is out of range.
-    pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (u32, u32, EdgeKind)>) -> CsrGraph {
-        let tagged: Vec<(u32, u32, u8)> = edges
-            .into_iter()
-            .map(|(row, target, kind)| (row, target, kind.bit()))
-            .collect();
-        CsrGraph::from_tagged(n, tagged)
-    }
-
-    /// [`CsrGraph::from_edges`] over pre-computed kind masks; consumes the
-    /// scratch vector (it is sorted in place).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range.
-    pub fn from_tagged(n: usize, mut edges: Vec<(u32, u32, u8)>) -> CsrGraph {
-        for &(row, target, _) in &edges {
+    pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> CsrGraph {
+        let mut edges: Vec<(u32, u32)> = edges.into_iter().collect();
+        for &(row, target) in &edges {
             assert!((row as usize) < n, "edge row {row} out of range 0..{n}");
             assert!(
                 (target as usize) < n,
                 "edge target {target} out of range 0..{n}"
             );
         }
-        edges.sort_unstable_by_key(|&(row, target, _)| (row, target));
+        edges.sort_unstable();
+        edges.dedup();
 
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(edges.len());
-        let mut kinds = Vec::with_capacity(edges.len());
-        offsets.push(0);
-        let mut row = 0u32;
-        for (r, t, k) in edges {
-            while row < r {
-                offsets.push(targets.len() as u32);
-                row += 1;
-            }
-            // Merge duplicates of the same (row, target) pair.
-            if targets.len() > offsets[row as usize] as usize
-                && *targets.last().expect("non-empty row") == t
-            {
-                *kinds.last_mut().expect("parallel to targets") |= k;
-            } else {
-                targets.push(t);
-                kinds.push(k);
-            }
+        let mut offsets = vec![0u32; n + 1];
+        for &(row, _) in &edges {
+            offsets[row as usize + 1] += 1;
         }
-        while (row as usize) < n {
-            offsets.push(targets.len() as u32);
-            row += 1;
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        CsrGraph {
-            offsets,
-            targets,
-            kinds,
-        }
+        // Collected from a slice, so `targets` gets an exact-size buffer of
+        // its own; collecting `edges.into_iter()` would keep the edge
+        // buffer, twice as wide and sized before de-duplication, alive for
+        // the graph's lifetime.
+        let targets = edges.iter().map(|&(_, target)| target).collect();
+        CsrGraph { offsets, targets }
     }
 
     /// Number of nodes.
@@ -224,23 +130,9 @@ impl CsrGraph {
         &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
-    /// Per-edge kind masks of node `v`'s row, parallel to
-    /// [`CsrGraph::neighbors`].
-    pub fn kinds(&self, v: usize) -> &[u8] {
-        &self.kinds[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
-
     /// Node `v`'s degree.
     pub fn degree(&self, v: usize) -> usize {
         (self.offsets[v + 1] - self.offsets[v]) as usize
-    }
-
-    /// The largest row length in the graph.
-    pub fn max_degree(&self) -> usize {
-        (0..self.node_count())
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
     }
 
     /// The flat target array.
@@ -261,121 +153,24 @@ impl CsrGraph {
         }
     }
 
-    /// The subgraph keeping only edges whose kind mask intersects `mask`
-    /// (e.g. `EdgeKind::Data.bit() | EdgeKind::Intra.bit()`): the D_D/D_C/
-    /// D_M ablations as one linear scan, no re-analysis or rebuild of the
-    /// source graph.
-    pub fn filtered(&self, mask: u8) -> CsrGraph {
-        let mut offsets = Vec::with_capacity(self.offsets.len());
-        let mut targets = Vec::new();
-        let mut kinds = Vec::new();
-        offsets.push(0);
-        for v in 0..self.node_count() {
-            for (&t, &k) in self.neighbors(v).iter().zip(self.kinds(v)) {
-                if k & mask != 0 {
-                    targets.push(t);
-                    kinds.push(k & mask);
-                }
-            }
-            offsets.push(targets.len() as u32);
-        }
-        CsrGraph {
-            offsets,
-            targets,
-            kinds,
-        }
-    }
-
-    /// The graph with every edge reversed (row `v` of the result lists the
-    /// nodes whose rows contain `v`), kinds carried along.
-    pub fn reversed(&self) -> CsrGraph {
-        let mut edges = Vec::with_capacity(self.edge_count());
-        for v in 0..self.node_count() {
-            for (&t, &k) in self.neighbors(v).iter().zip(self.kinds(v)) {
-                edges.push((t, v as u32, k));
-            }
-        }
-        CsrGraph::from_tagged(self.node_count(), edges)
-    }
-
-    /// The symmetric closure (`self` ∪ [`CsrGraph::reversed`]): row `v`
-    /// holds `neighbors(v) ∪ {u : v ∈ neighbors(u)}` — the vanilla
-    /// all-neighbour GraphSAGE ablation's aggregation neighbourhood.
+    /// The symmetric closure: row `v` holds
+    /// `neighbors(v) ∪ {u : v ∈ neighbors(u)}` — the vanilla all-neighbour
+    /// GraphSAGE ablation's aggregation neighbourhood.
     pub fn symmetrised(&self) -> CsrGraph {
         let mut edges = Vec::with_capacity(2 * self.edge_count());
         for v in 0..self.node_count() {
-            for (&t, &k) in self.neighbors(v).iter().zip(self.kinds(v)) {
-                edges.push((v as u32, t, k));
-                edges.push((t, v as u32, k));
+            for &t in self.neighbors(v) {
+                edges.push((v as u32, t));
+                edges.push((t, v as u32));
             }
         }
-        CsrGraph::from_tagged(self.node_count(), edges)
-    }
-
-    /// The disjoint union of several graphs: part `i`'s nodes are renumbered
-    /// by the sum of the preceding parts' node counts, rows and kind masks
-    /// are carried over verbatim, and no edge crosses a part boundary. This
-    /// is the multi-graph batching layout — a forward pass over the union
-    /// processes every part at once while each row's neighbourhood (and
-    /// therefore its result) is identical to the part's own.
-    ///
-    /// Runs in `O(total nodes + total edges)` with no sorting: each part's
-    /// rows are already canonical and shifting preserves order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the summed node or edge count exceeds `u32::MAX` — the
-    /// CSR indices could not represent the union, and silently wrapping
-    /// the bases would return a corrupt graph. Callers batching unbounded
-    /// inputs must split them first (as `glaive-serve` does).
-    pub fn disjoint_union(parts: &[&CsrGraph]) -> CsrGraph {
-        let nodes: usize = parts.iter().map(|g| g.node_count()).sum();
-        let edges: usize = parts.iter().map(|g| g.edge_count()).sum();
-        let mut offsets = Vec::with_capacity(nodes + 1);
-        let mut targets = Vec::with_capacity(edges);
-        let mut kinds = Vec::with_capacity(edges);
-        offsets.push(0);
-        let mut node_base = 0u32;
-        let mut edge_base = 0u32;
-        for g in parts {
-            offsets.extend(g.offsets[1..].iter().map(|&o| edge_base + o));
-            targets.extend(g.targets.iter().map(|&t| node_base + t));
-            kinds.extend_from_slice(&g.kinds);
-            node_base = node_base
-                .checked_add(g.node_count() as u32)
-                .expect("disjoint union node count overflows u32 CSR indices");
-            edge_base = edge_base
-                .checked_add(g.edge_count() as u32)
-                .expect("disjoint union edge count overflows u32 CSR indices");
-        }
-        CsrGraph {
-            offsets,
-            targets,
-            kinds,
-        }
-    }
-
-    /// Per-kind retained-edge counts (after duplicate collapse a multi-kind
-    /// edge counts towards each of its kinds).
-    pub fn kind_counts(&self) -> [usize; 4] {
-        let mut counts = [0usize; 4];
-        for &k in &self.kinds {
-            for (i, kind) in EdgeKind::ALL.iter().enumerate() {
-                if k & kind.bit() != 0 {
-                    counts[i] += 1;
-                }
-            }
-        }
-        counts
+        CsrGraph::from_edges(self.node_count(), edges)
     }
 
     /// Checks every CSR invariant; used by tests and debug assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.offsets.first() != Some(&0) {
             return Err("offsets must start at 0".to_string());
-        }
-        if self.targets.len() != self.kinds.len() {
-            return Err("targets/kinds length mismatch".to_string());
         }
         if *self.offsets.last().expect("non-empty") as usize != self.targets.len() {
             return Err("final offset disagrees with edge count".to_string());
@@ -395,9 +190,6 @@ impl CsrGraph {
                 return Err(format!("row {v} has an out-of-range target"));
             }
         }
-        if self.kinds.iter().any(|&k| k == 0 || k > EdgeKind::ALL_MASK) {
-            return Err("edge with an empty or invalid kind mask".to_string());
-        }
         Ok(())
     }
 }
@@ -416,18 +208,8 @@ mod tests {
     use super::*;
 
     fn diamond() -> CsrGraph {
-        // 0 → {1, 2} → 3, with 0 → 3 justified twice (data + memory).
-        CsrGraph::from_edges(
-            4,
-            [
-                (0, 1, EdgeKind::Data),
-                (0, 2, EdgeKind::Control),
-                (1, 3, EdgeKind::Data),
-                (2, 3, EdgeKind::Data),
-                (0, 3, EdgeKind::Data),
-                (0, 3, EdgeKind::Memory),
-            ],
-        )
+        // 0 → {1, 2} → 3, with 0 → 3 inserted twice.
+        CsrGraph::from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3), (0, 3)])
     }
 
     #[test]
@@ -439,56 +221,28 @@ mod tests {
         assert_eq!(g.neighbors(0), &[1, 2, 3]);
         assert_eq!(g.neighbors(3), &[] as &[u32]);
         assert_eq!(g.degree(0), 3);
-        assert_eq!(g.max_degree(), 3);
-        // The merged edge keeps both kinds.
-        assert_eq!(g.kinds(0)[2], EdgeKind::Data.bit() | EdgeKind::Memory.bit());
+    }
+
+    #[test]
+    fn targets_do_not_keep_the_edge_buffer() {
+        let g = CsrGraph::from_edges(3, vec![(0, 1); 100].into_iter().chain([(2, 0)]));
+        assert_eq!(g.targets, [1, 0]);
+        assert_eq!(g.targets.capacity(), 2);
     }
 
     #[test]
     fn empty_graphs_and_isolated_tail_nodes_work() {
-        let g = CsrGraph::empty(3);
+        let g = CsrGraph::from_edges(3, []);
         g.check_invariants().expect("valid");
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 0);
+        assert_eq!(g.offsets(), &[0; 4]);
         assert_eq!(g.neighbors(2), &[] as &[u32]);
 
         // Last rows empty: the offset tail must still be filled in.
-        let g = CsrGraph::from_edges(5, [(0, 1, EdgeKind::Data)]);
+        let g = CsrGraph::from_edges(5, [(0, 1)]);
         g.check_invariants().expect("valid");
         assert_eq!(g.neighbors(4), &[] as &[u32]);
-    }
-
-    #[test]
-    fn filtered_keeps_only_matching_kinds() {
-        let g = diamond();
-        let data = g.filtered(EdgeKind::Data.bit());
-        data.check_invariants().expect("valid");
-        assert_eq!(data.neighbors(0), &[1, 3]);
-        assert_eq!(data.neighbors(2), &[3]);
-        let control = g.filtered(EdgeKind::Control.bit());
-        assert_eq!(control.edge_count(), 1);
-        assert_eq!(control.neighbors(0), &[2]);
-        // The multi-kind edge survives a memory-only filter with the mask
-        // narrowed to the selected kind.
-        let memory = g.filtered(EdgeKind::Memory.bit());
-        assert_eq!(memory.neighbors(0), &[3]);
-        assert_eq!(memory.kinds(0), &[EdgeKind::Memory.bit()]);
-        // Filtering by everything is the identity.
-        assert_eq!(g.filtered(EdgeKind::ALL_MASK), g);
-    }
-
-    #[test]
-    fn reversed_inverts_every_edge() {
-        let g = diamond();
-        let r = g.reversed();
-        r.check_invariants().expect("valid");
-        assert_eq!(r.edge_count(), g.edge_count());
-        for v in 0..g.node_count() {
-            for &t in g.neighbors(v) {
-                assert!(r.neighbors(t as usize).contains(&(v as u32)));
-            }
-        }
-        assert_eq!(r.reversed(), g, "reversal is an involution");
     }
 
     #[test]
@@ -510,16 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn kind_counts_count_multi_kind_edges_once_per_kind() {
-        let g = diamond();
-        let [intra, data, control, memory] = g.kind_counts();
-        assert_eq!(intra, 0);
-        assert_eq!(data, 4);
-        assert_eq!(control, 1);
-        assert_eq!(memory, 1);
-    }
-
-    #[test]
     fn views_expose_the_same_structure() {
         let g = diamond();
         let v = g.view();
@@ -535,30 +279,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_edges_are_rejected() {
-        CsrGraph::from_edges(2, [(0, 2, EdgeKind::Data)]);
-    }
-
-    #[test]
-    fn disjoint_union_shifts_parts_without_cross_edges() {
-        let a = diamond();
-        let b = CsrGraph::from_edges(2, [(1, 0, EdgeKind::Memory)]);
-        let c = CsrGraph::empty(3);
-        let u = CsrGraph::disjoint_union(&[&a, &b, &c]);
-        u.check_invariants().expect("valid");
-        assert_eq!(u.node_count(), 9);
-        assert_eq!(u.edge_count(), a.edge_count() + 1);
-        // Part rows are verbatim, shifted by the preceding node counts.
-        for v in 0..a.node_count() {
-            assert_eq!(u.neighbors(v), a.neighbors(v));
-            assert_eq!(u.kinds(v), a.kinds(v));
-        }
-        assert_eq!(u.neighbors(5), &[4]);
-        assert_eq!(u.kinds(5), &[EdgeKind::Memory.bit()]);
-        for v in 6..9 {
-            assert_eq!(u.neighbors(v), &[] as &[u32]);
-        }
-        // A union of one part is the part itself; of none, the empty graph.
-        assert_eq!(CsrGraph::disjoint_union(&[&a]), a);
-        assert_eq!(CsrGraph::disjoint_union(&[]), CsrGraph::empty(0));
+        CsrGraph::from_edges(2, [(0, 2)]);
     }
 }

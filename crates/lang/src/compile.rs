@@ -74,11 +74,6 @@ impl CompiledProgram {
     pub fn layout(&self) -> &Layout {
         &self.layout
     }
-
-    /// Consumes self, returning the program and layout.
-    pub fn into_parts(self) -> (Program, Layout) {
-        (self.program, self.layout)
-    }
 }
 
 /// Error produced when lowering a module.

@@ -181,8 +181,9 @@ impl BatchWorkspace {
         let total_edges: usize = chunk.iter().map(|p| p.cdfg.preds_csr().edge_count()).sum();
 
         // Block-diagonal disjoint union of the predecessor graphs, staged
-        // into the reusable buffers (same shifting scheme as
-        // `CsrGraph::disjoint_union`, without the owned-graph allocation).
+        // into the reusable buffers: each part's rows are copied verbatim,
+        // node ids shifted by the preceding parts' node counts and offsets
+        // by their edge counts, so no edge crosses a part boundary.
         self.offsets.clear();
         self.targets.clear();
         self.feats.clear();

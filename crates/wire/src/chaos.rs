@@ -433,12 +433,6 @@ impl<S: Write> Write for ChaosTransport<S> {
     }
 }
 
-impl<S: crate::Timeouts> crate::Timeouts for ChaosTransport<S> {
-    fn set_timeouts(&self, read: Option<Duration>, write: Option<Duration>) -> io::Result<()> {
-        self.inner.set_timeouts(read, write)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,7 +43,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{IoSlice, Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use glaive_isa::{Instr, Program, INSTR_ENCODING_LEN};
@@ -53,32 +52,6 @@ pub mod chaos;
 
 pub use backoff::{sleep_cancellable, Backoff, RetryPolicy, Wait};
 pub use chaos::{ChaosConfig, ChaosPlan, ChaosReport, ChaosTransport, SplitMix64};
-
-/// Configures read/write deadlines on a transport, abstracting over
-/// `TcpStream` and wrappers like [`ChaosTransport`] so every GLAIVE
-/// socket — server handler, coordinator connection, worker, client —
-/// can be given explicit deadlines regardless of how it is stacked.
-///
-/// `None` clears a deadline (blocking I/O); `Some(d)` makes reads/writes
-/// fail with `WouldBlock`/`TimedOut` after `d` without progress, which
-/// the cancellable frame reader turns into cancel checks and stall
-/// detection.
-pub trait Timeouts {
-    /// Sets the read and write deadlines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the transport's failure to apply a deadline (e.g. a
-    /// zero `Duration` on a socket).
-    fn set_timeouts(&self, read: Option<Duration>, write: Option<Duration>) -> std::io::Result<()>;
-}
-
-impl Timeouts for TcpStream {
-    fn set_timeouts(&self, read: Option<Duration>, write: Option<Duration>) -> std::io::Result<()> {
-        self.set_read_timeout(read)?;
-        self.set_write_timeout(write)
-    }
-}
 
 /// Upper bound on a frame payload; larger declared lengths are rejected
 /// before any allocation (a corrupted or hostile length prefix must not

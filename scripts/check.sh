@@ -79,10 +79,28 @@ grep -q "protect " "$SMOKE_DIR/budget1.txt" \
 cargo run -q --release --offline -p glaive-cli -- query "$ADDR" --shutdown >/dev/null
 wait "$SERVE_PID"
 
+GCLI="./target/release/glaive-cli"
+
+echo "==> CLI model cache (train twice into a fresh cache, compare with --no-cache)"
+# The second run must read the model the first one stored, and both must
+# be byte-identical to a model trained without the cache.
+MC_DIR="$SMOKE_DIR/model-cache"
+mkdir -p "$MC_DIR"
+for run in first second; do
+  GLAIVE_CACHE_DIR="$MC_DIR/cache" "$GCLI" train "$MC_DIR/$run.model" lu \
+    --quick --stride 16 --instances 1 --verbose >/dev/null 2>"$MC_DIR/$run.log"
+done
+grep -q '^\[cache\] model lu: hit$' "$MC_DIR/second.log" \
+  || { echo "second train did not hit the model cache"; cat "$MC_DIR/second.log"; exit 1; }
+"$GCLI" train "$MC_DIR/uncached.model" lu --quick --stride 16 --instances 1 \
+  --no-cache >/dev/null 2>&1
+cmp "$MC_DIR/first.model" "$MC_DIR/uncached.model" \
+  && cmp "$MC_DIR/second.model" "$MC_DIR/uncached.model" \
+  || { echo "a cached CLI model differs from the uncached one"; exit 1; }
+
 echo "==> campaign fabric smoke run (coordinate + 2 workers, kill, --resume)"
 # The coordinator is run from the prebuilt binary (not `cargo run`) so that
 # SIGKILL hits the coordinator itself rather than a cargo wrapper.
-GCLI="./target/release/glaive-cli"
 FAB_DIR="$SMOKE_DIR/fabric"
 mkdir -p "$FAB_DIR"
 "$GCLI" campaign blackscholes --out "$FAB_DIR/serial.bin" >/dev/null

@@ -131,104 +131,53 @@ fn ranking_key_is_monotone() {
 }
 
 // ---------------------------------------------------------------------------
-// CsrGraph invariants over random kind-tagged edge lists
+// CsrGraph invariants over random edge lists
 // ---------------------------------------------------------------------------
 
-use glaive_graph::{CsrGraph, EdgeKind};
+use glaive_graph::CsrGraph;
 
-/// A random kind-tagged edge list (with deliberate duplicates and
-/// multi-kind repeats) plus the graph built from it.
-fn random_tagged_graph(rng: &mut Rng) -> (usize, Vec<(u32, u32, u8)>, CsrGraph) {
+/// A random edge list (with deliberate duplicates) plus the graph built
+/// from it.
+fn random_graph(rng: &mut Rng) -> (usize, Vec<(u32, u32)>, CsrGraph) {
     let n = 1 + (rng.next() % 40) as usize;
     let m = (rng.next() % 120) as usize;
-    let kinds = [
-        EdgeKind::Intra.bit(),
-        EdgeKind::Data.bit(),
-        EdgeKind::Control.bit(),
-        EdgeKind::Memory.bit(),
-    ];
-    let edges: Vec<(u32, u32, u8)> = (0..m)
+    let edges: Vec<(u32, u32)> = (0..m)
         .map(|_| {
             (
                 (rng.next() % n as u64) as u32,
                 (rng.next() % n as u64) as u32,
-                kinds[(rng.next() % 4) as usize],
             )
         })
         .collect();
-    let graph = CsrGraph::from_tagged(n, edges.clone());
+    let graph = CsrGraph::from_edges(n, edges.clone());
     (n, edges, graph)
 }
 
-/// Construction from arbitrary tagged edge lists upholds every CSR
-/// invariant: offsets start at zero and are monotone, rows are strictly
-/// increasing (sorted and duplicate-free), kind masks are non-empty.
+/// Construction from arbitrary edge lists upholds every CSR invariant:
+/// offsets start at zero and are monotone, rows are strictly increasing
+/// (sorted and duplicate-free).
 #[test]
 fn csr_construction_upholds_invariants() {
     let mut rng = Rng(47);
     for _ in 0..CASES {
-        let (_, _, g) = random_tagged_graph(&mut rng);
+        let (_, _, g) = random_graph(&mut rng);
         g.check_invariants().expect("invariants hold");
     }
 }
 
-/// Duplicate pairs collapse to one edge whose kind mask is the OR of all
-/// inserted kinds — no insertion is lost, none is invented.
+/// Duplicate pairs collapse to one edge: the rows hold exactly the
+/// distinct inserted pairs — no insertion is lost, none is invented.
 #[test]
-fn csr_rows_dedup_with_or_merged_kinds() {
+fn csr_rows_are_the_distinct_pairs() {
     let mut rng = Rng(48);
     for _ in 0..CASES {
-        let (n, edges, g) = random_tagged_graph(&mut rng);
-        let mut expected: std::collections::HashMap<(u32, u32), u8> =
-            std::collections::HashMap::new();
-        for &(u, v, k) in &edges {
-            *expected.entry((u, v)).or_default() |= k;
-        }
+        let (n, edges, g) = random_graph(&mut rng);
+        let expected: std::collections::BTreeSet<(u32, u32)> = edges.into_iter().collect();
         assert_eq!(g.edge_count(), expected.len(), "one edge per distinct pair");
-        for u in 0..n {
-            for (&v, &k) in g.neighbors(u).iter().zip(g.kinds(u)) {
-                assert_eq!(
-                    expected.get(&(u as u32, v)).copied(),
-                    Some(k),
-                    "edge ({u}, {v}) kind mask"
-                );
-            }
-        }
-    }
-}
-
-/// `filtered(mask)` keeps exactly the edges whose kinds intersect the
-/// mask, with the surviving kind bits — a subset of the full graph that
-/// still satisfies the invariants.
-#[test]
-fn csr_filtered_is_an_intersecting_subset() {
-    let mut rng = Rng(49);
-    for _ in 0..CASES {
-        let (n, _, g) = random_tagged_graph(&mut rng);
-        let mask = 1 + (rng.next() % EdgeKind::ALL_MASK as u64) as u8;
-        let f = g.filtered(mask);
-        f.check_invariants().expect("filtered invariants hold");
-        assert_eq!(f.node_count(), g.node_count());
-        for v in 0..n {
-            // Every filtered edge exists in the full graph with a
-            // mask-intersecting kind…
-            for (&t, &k) in f.neighbors(v).iter().zip(f.kinds(v)) {
-                let idx = g
-                    .neighbors(v)
-                    .binary_search(&t)
-                    .expect("edge in full graph");
-                assert_eq!(k, g.kinds(v)[idx] & mask);
-                assert_ne!(k, 0);
-            }
-            // …and every full-graph edge intersecting the mask survives.
-            let expected = g
-                .neighbors(v)
-                .iter()
-                .zip(g.kinds(v))
-                .filter(|(_, &k)| k & mask != 0)
-                .count();
-            assert_eq!(f.neighbors(v).len(), expected, "row {v} edge count");
-        }
+        let rows: Vec<(u32, u32)> = (0..n)
+            .flat_map(|u| g.neighbors(u).iter().map(move |&v| (u as u32, v)))
+            .collect();
+        assert!(rows.into_iter().eq(expected), "rows are the distinct pairs");
     }
 }
 
@@ -238,7 +187,7 @@ fn csr_filtered_is_an_intersecting_subset() {
 fn csr_symmetrised_is_symmetric_superset() {
     let mut rng = Rng(50);
     for _ in 0..CASES {
-        let (n, _, g) = random_tagged_graph(&mut rng);
+        let (n, _, g) = random_graph(&mut rng);
         let s = g.symmetrised();
         s.check_invariants().expect("symmetrised invariants hold");
         assert_eq!(s.node_count(), g.node_count());
@@ -258,43 +207,6 @@ fn csr_symmetrised_is_symmetric_superset() {
                     "invented edge {v}→{t} with no original direction"
                 );
             }
-        }
-    }
-}
-
-/// The disjoint union preserves each part's rows verbatim under a base
-/// shift and never crosses part boundaries — the soundness condition for
-/// batched multi-graph inference.
-#[test]
-fn csr_disjoint_union_preserves_parts() {
-    let mut rng = Rng(51);
-    for _ in 0..CASES / 4 {
-        let parts: Vec<(usize, CsrGraph)> = (0..3)
-            .map(|_| {
-                let (n, _, g) = random_tagged_graph(&mut rng);
-                (n, g)
-            })
-            .collect();
-        let refs: Vec<&CsrGraph> = parts.iter().map(|(_, g)| g).collect();
-        let u = CsrGraph::disjoint_union(&refs);
-        u.check_invariants().expect("union invariants hold");
-        let mut base = 0u32;
-        for (n, g) in &parts {
-            for v in 0..*n {
-                let row: Vec<u32> = u
-                    .neighbors(base as usize + v)
-                    .iter()
-                    .map(|&t| t - base)
-                    .collect();
-                assert_eq!(row, g.neighbors(v), "part row shifted verbatim");
-                assert!(
-                    u.neighbors(base as usize + v)
-                        .iter()
-                        .all(|&t| t >= base && t < base + *n as u32),
-                    "edge crosses a part boundary"
-                );
-            }
-            base += *n as u32;
         }
     }
 }
