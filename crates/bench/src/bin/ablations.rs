@@ -10,12 +10,18 @@
 //!
 //! Run on the data-sensitive category (where the paper's deltas are
 //! largest) to keep runtime manageable. No ablation changes the fault
-//! campaigns, so the suite is prepared once (through the artifact cache,
-//! like every paper binary) and each ablation trains on a copy.
+//! campaigns, so the suite is prepared once and each ablation trains on a
+//! copy. Every evaluation goes through a pipeline on the binary's
+//! artifact cache and timing recorder, like every paper binary, so a
+//! repeat run reuses the trained GraphSAGE models.
+
+use std::sync::Arc;
 
 use glaive::experiments::Evaluation;
 use glaive::metrics::bit_accuracy;
-use glaive::{BenchData, Error, Method};
+use glaive::telemetry::TimingRecorder;
+use glaive::{BenchData, Error, Method, PipelineConfig};
+use glaive_bench::{experiment_config, experiment_pipeline, finish_telemetry, prepared_suite};
 use glaive_bench_suite::Category;
 
 fn mean_accuracy(eval: &Evaluation, vanilla: bool) -> Result<f64, Error> {
@@ -35,7 +41,12 @@ fn mean_accuracy(eval: &Evaluation, vanilla: bool) -> Result<f64, Error> {
 
 fn main() -> std::process::ExitCode {
     glaive_bench::run_experiment(|| {
-        let (suite, base) = glaive_bench::standard_suite()?;
+        let recorder = Arc::new(TimingRecorder::new());
+        let base = experiment_config();
+        let evaluate = |suite: Vec<BenchData>, config: PipelineConfig| {
+            experiment_pipeline(config, &recorder)?.evaluation(suite)
+        };
+        let suite = prepared_suite(&experiment_pipeline(base, &recorder)?)?;
         let data: Vec<BenchData> = suite
             .into_iter()
             .filter(|d| d.bench.category == Category::Data)
@@ -45,7 +56,7 @@ fn main() -> std::process::ExitCode {
         eprintln!("[1/3] aggregator ablation (predecessor vs all-neighbour)...");
         let mut config = base;
         config.train_vanilla = true;
-        let eval = Evaluation::new(data.clone(), &config)?;
+        let eval = evaluate(data.clone(), config)?;
         println!("# Ablation 1: aggregation direction (data-sensitive mean accuracy)");
         println!("predecessor_mean\t{:.4}", mean_accuracy(&eval, false)?);
         println!("all_neighbour_mean\t{:.4}", mean_accuracy(&eval, true)?);
@@ -64,7 +75,7 @@ fn main() -> std::process::ExitCode {
                     .map(|d| d.with_graph_stride(graph_stride))
                     .collect()
             };
-            let eval = Evaluation::new(suite, &base)?;
+            let eval = evaluate(suite, base)?;
             let n = eval.suite().len() as f64;
             let pve: f64 = eval
                 .pv_error_rows()
@@ -94,10 +105,11 @@ fn main() -> std::process::ExitCode {
         for sample in [5usize, 15, 50] {
             let mut config = base;
             config.sage.sample_size = sample;
-            let eval = Evaluation::new(data.clone(), &config)?;
+            let eval = evaluate(data.clone(), config)?;
             println!("sample={sample}\t{:.4}", mean_accuracy(&eval, false)?);
         }
 
+        finish_telemetry(&recorder);
         Ok(())
     })
 }

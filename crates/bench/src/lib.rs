@@ -55,22 +55,25 @@ pub fn experiment_config() -> PipelineConfig {
     }
 }
 
-/// The pipeline runtime every experiment binary shares: the invocation's
-/// configuration, the artifact cache (unless disabled), and a timing
-/// recorder whose summary the caller prints via [`finish_telemetry`].
-fn experiment_pipeline() -> Result<(Pipeline, Arc<TimingRecorder>), Error> {
-    let config = experiment_config();
-    let recorder = Arc::new(TimingRecorder::new());
+/// The pipeline runtime every experiment binary shares, over `config`:
+/// the artifact cache (unless disabled) and `recorder`, whose summary the
+/// caller prints via [`finish_telemetry`]. A binary that evaluates under
+/// several configurations builds one pipeline per configuration on one
+/// recorder.
+pub fn experiment_pipeline(
+    config: PipelineConfig,
+    recorder: &Arc<TimingRecorder>,
+) -> Result<Pipeline, Error> {
     let mut builder = Pipeline::builder(config).observer(recorder.clone());
     if !cache_disabled() {
         builder = builder.default_cache();
     }
-    Ok((builder.build()?, recorder))
+    builder.build()
 }
 
 /// Prints the stage timing summary (campaign / graph / training wall-clock
 /// plus cache hit counts) to stderr.
-fn finish_telemetry(recorder: &TimingRecorder) {
+pub fn finish_telemetry(recorder: &TimingRecorder) {
     eprint!("{}", recorder.summary());
 }
 
@@ -94,8 +97,9 @@ pub fn run_experiment(body: impl FnOnce() -> Result<(), Error>) -> std::process:
 /// before the configured quorum is checked, so a degraded or aborted run
 /// still reports every benchmark's fate.
 pub fn standard_evaluation() -> Result<(Evaluation, PipelineConfig), Error> {
-    let (pipeline, recorder) = experiment_pipeline()?;
-    let config = *pipeline.config();
+    let recorder = Arc::new(TimingRecorder::new());
+    let config = experiment_config();
+    let pipeline = experiment_pipeline(config, &recorder)?;
     eprintln!(
         "preparing suite (seed {EXPERIMENT_SEED}, bit stride {}, {} instances/site)...",
         config.bit_stride, config.instances_per_site
@@ -109,9 +113,9 @@ pub fn standard_evaluation() -> Result<(Evaluation, PipelineConfig), Error> {
 /// Prepares the suite only (no model training), for data-statistics
 /// binaries.
 pub fn standard_suite() -> Result<(Vec<BenchData>, PipelineConfig), Error> {
-    let (pipeline, recorder) = experiment_pipeline()?;
-    let config = *pipeline.config();
-    let suite = prepared_suite(&pipeline)?;
+    let recorder = Arc::new(TimingRecorder::new());
+    let config = experiment_config();
+    let suite = prepared_suite(&experiment_pipeline(config, &recorder)?)?;
     finish_telemetry(&recorder);
     Ok((suite, config))
 }
@@ -119,7 +123,7 @@ pub fn standard_suite() -> Result<(Vec<BenchData>, PipelineConfig), Error> {
 /// Supervised suite preparation shared by the experiment entry points:
 /// renders the failure summary (if any) to stderr, then applies the
 /// configured quorum policy.
-fn prepared_suite(pipeline: &Pipeline) -> Result<Vec<BenchData>, Error> {
+pub fn prepared_suite(pipeline: &Pipeline) -> Result<Vec<BenchData>, Error> {
     let mut report = pipeline.prepare_suite_supervised(EXPERIMENT_SEED);
     if let Some(summary) = report.failure_summary() {
         eprint!("{summary}");

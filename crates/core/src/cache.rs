@@ -94,12 +94,13 @@ pub fn truth_key(bench: &Benchmark, campaign: &CampaignConfig) -> CacheKey {
 }
 
 /// The cache key of the GLAIVE GraphSAGE trained on `train` under
-/// `config`. Covers the model hyperparameters, the bit stride, the
-/// campaign parameters that shape the labels, and each training
-/// benchmark's content, in training order (order affects the weights).
-/// `train_threads` is deliberately absent: any thread count produces
-/// bit-identical weights. The `v2` version tag invalidates models trained
-/// before multi-graph epochs switched to one merged-gradient step.
+/// `config`. Covers the model hyperparameters, the campaign's bit stride,
+/// the training graphs' stride, the campaign parameters that shape the
+/// labels, and each training benchmark's content, in training order
+/// (order affects the weights). `train_threads` is deliberately absent:
+/// any thread count produces bit-identical weights. The `v2` version tag
+/// invalidates models trained before multi-graph epochs switched to one
+/// merged-gradient step.
 pub fn model_key(train: &[&BenchData], config: &PipelineConfig) -> CacheKey {
     let mut h = Fnv::new("glaive-model-v2");
     let s = &config.sage;
@@ -108,10 +109,15 @@ pub fn model_key(train: &[&BenchData], config: &PipelineConfig) -> CacheKey {
     }
     h.u64(s.lr.to_bits() as u64);
     h.u64(s.seed);
-    // The stride goes in twice: the second slot once held a separate graph
-    // stride, and keeping it keeps every cached model's key.
     h.u64(config.bit_stride as u64);
-    h.u64(config.bit_stride as u64);
+    // The graphs' stride equals the campaign's unless the data was
+    // re-joined onto a coarser graph (`BenchData::with_graph_stride`), so
+    // ordinary data keeps the keys it had when this slot held a separate
+    // graph-stride setting.
+    let graph_stride = train
+        .first()
+        .map_or(config.bit_stride, |d| d.cdfg.config().bit_stride);
+    h.u64(graph_stride as u64);
     h.u64(config.instances_per_site as u64);
     h.u64(train.len() as u64);
     for d in train {
@@ -271,6 +277,19 @@ mod tests {
         let config = PipelineConfig::quick_test();
         let lu = crate::data::prepare_benchmark(lu::build(1), &config);
         assert_eq!(model_key(&[&lu], &config).to_string(), "d803583d9aaf4240");
+    }
+
+    /// Data re-joined onto a coarser graph trains a different model from
+    /// the same programs and configuration, so it needs its own key.
+    #[test]
+    fn rejoined_data_gets_its_own_model_key() {
+        let config = PipelineConfig::quick_test();
+        let lu = crate::data::prepare_benchmark(lu::build(1), &config);
+        let key = model_key(&[&lu], &config);
+        let word = lu.with_graph_stride(64);
+        assert_ne!(model_key(&[&word], &config), key);
+        let same = lu.with_graph_stride(config.bit_stride);
+        assert_eq!(model_key(&[&same], &config), key);
     }
 
     #[test]

@@ -37,11 +37,15 @@ pub struct PipelineConfig {
     pub instances_per_site: usize,
     /// FI worker threads (0 = available parallelism).
     pub threads: usize,
-    /// GNN training worker threads for data-parallel gradient computation
-    /// across the per-benchmark splits (0 = available parallelism). Any
-    /// value yields bit-identical models — the gradient merge uses a fixed
-    /// reduction tree (see DESIGN.md §16) — so this knob never enters the
-    /// model cache key.
+    /// The fan-out width of one training call (`glaive_nn::par`): the GNN
+    /// trains on the calling thread beside one worker fitting the
+    /// baselines, and spreads each epoch's per-graph gradients over this
+    /// many threads (0 = available parallelism); 1 trains everything,
+    /// kernels included, on the calling thread. Inside an evaluation
+    /// split, which already runs on a marked thread, every value means 1.
+    /// Any value yields bit-identical models — the gradient merge uses a
+    /// fixed reduction tree (see DESIGN.md §16) — so this knob never
+    /// enters the model cache key.
     pub train_threads: usize,
     /// GLAIVE model hyperparameters.
     pub sage: SageConfig,

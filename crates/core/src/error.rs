@@ -18,7 +18,7 @@ use crate::telemetry::Stage;
 pub enum Error {
     /// A benchmark name did not match any suite member.
     UnknownBenchmark(String),
-    /// The suite passed to [`Evaluation::new`](crate::experiments::Evaluation::new)
+    /// The suite passed to [`Pipeline::evaluation`](crate::Pipeline::evaluation)
     /// was empty.
     EmptySuite,
     /// A benchmark has no same-category training partners, so no

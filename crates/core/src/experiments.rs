@@ -4,28 +4,19 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use glaive_bench_suite::{Category, Split};
 use glaive_faultsim::Campaign;
+use glaive_nn::par;
 
 use crate::cache::ArtifactCache;
 use crate::config::PipelineConfig;
 use crate::data::{train_set, BenchData};
 use crate::error::Error;
 use crate::metrics::{bit_accuracy, program_vulnerability_error, top_k_coverage};
-use crate::models::{cached_glaive, train_models_with, Method, Models};
-use crate::telemetry::{NullObserver, Observer, Stage};
-
-/// The number of workers a pool of `jobs` jobs should actually use
-/// (`requested` 0 = available parallelism).
-fn resolve_workers(requested: usize, jobs: usize) -> usize {
-    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let n = if requested == 0 { avail } else { requested };
-    n.clamp(1, jobs.max(1))
-}
+use crate::models::{train_models_cached, Method, Models};
+use crate::telemetry::{Observer, Stage};
 
 /// A fully trained evaluation: the prepared suite plus one set of models
 /// per distinct training split (round-robin n−1 for train/test members,
@@ -40,21 +31,18 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
-    /// Prepares models for every benchmark's evaluation split, training
-    /// distinct splits concurrently on a scoped worker pool.
+    /// Prepares models for every benchmark's evaluation split (the body of
+    /// [`Pipeline::evaluation`](crate::Pipeline::evaluation)): cached
+    /// GLAIVE models are reused and fresh ones written back, per-split
+    /// training timings go to `observer`, and distinct splits train
+    /// concurrently, each on one marked thread of a [`par::for_each`] at
+    /// width `workers` (0 = available parallelism).
     ///
     /// # Errors
     ///
     /// [`Error::EmptySuite`] if `suite` is empty,
     /// [`Error::NoTrainingPartners`] if a benchmark has no same-category
-    /// training partners.
-    pub fn new(suite: Vec<BenchData>, config: &PipelineConfig) -> Result<Evaluation, Error> {
-        Evaluation::with_runtime(suite, config, None, &NullObserver, 0)
-    }
-
-    /// [`Evaluation::new`] with the pipeline runtime threaded through:
-    /// cached GLAIVE models are reused (and fresh ones written back), and
-    /// per-split training timings go to `observer`.
+    /// training partners, [`Error::Cache`] on a model write-back failure.
     pub(crate) fn with_runtime(
         suite: Vec<BenchData>,
         config: &PipelineConfig,
@@ -82,32 +70,16 @@ impl Evaluation {
         }
 
         // Distinct splits share nothing, so train them concurrently.
-        let jobs = splits.len();
-        let workers = resolve_workers(workers, jobs);
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<Models, Error>>>> =
-            (0..jobs).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs {
-                        return;
-                    }
-                    let (key, train) = &splits[i];
-                    let out = train_split_supervised(key, train, config, cache, observer);
-                    *slots[i].lock().expect("result slot") = Some(out);
-                });
-            }
+        let mut slots: Vec<Option<Result<Models, Error>>> = splits.iter().map(|_| None).collect();
+        par::with_width(workers, |_| {
+            par::for_each(splits.iter().zip(&mut slots), |((key, train), slot)| {
+                *slot = Some(train_split_supervised(key, train, config, cache, observer));
+            })
         });
 
         let mut models = HashMap::new();
         for (slot, (key, _)) in slots.into_iter().zip(splits) {
-            let trained = slot
-                .into_inner()
-                .expect("slot lock")
-                .expect("worker filled slot")?;
-            models.insert(key, trained);
+            models.insert(key, slot.expect("every split was trained")?);
         }
         Ok(Evaluation {
             suite,
@@ -303,8 +275,7 @@ fn train_split(
 ) -> Result<Models, Error> {
     observer.stage_started(Stage::Training, key);
     let t0 = Instant::now();
-    let glaive = cached_glaive(train, config, cache, observer, key)?;
-    let models = train_models_with(train, config, glaive);
+    let models = train_models_cached(train, config, cache, observer, key)?;
     observer.stage_finished(Stage::Training, key, t0.elapsed(), train.len() as u64);
     Ok(models)
 }
@@ -384,12 +355,11 @@ mod tests {
     use crate::data::prepare_benchmark;
     use glaive_bench_suite::control::{dijkstra, sobel};
 
-    #[test]
-    fn resolve_workers_clamps_to_jobs() {
-        assert_eq!(resolve_workers(8, 3), 3);
-        assert_eq!(resolve_workers(2, 12), 2);
-        assert!(resolve_workers(0, 12) >= 1);
-        assert_eq!(resolve_workers(0, 0), 1);
+    /// A cache-less, silent evaluation of `suite`.
+    fn evaluate(suite: Vec<BenchData>, config: &PipelineConfig) -> Result<Evaluation, Error> {
+        crate::Pipeline::new(*config)
+            .expect("valid config")
+            .evaluation(suite)
     }
 
     /// A miniature two-benchmark evaluation exercising the full loop.
@@ -399,7 +369,7 @@ mod tests {
             prepare_benchmark(dijkstra::build(1), &config),
             prepare_benchmark(sobel::build(1), &config),
         ];
-        (Evaluation::new(suite, &config).expect("splittable"), config)
+        (evaluate(suite, &config).expect("splittable"), config)
     }
 
     #[test]
@@ -469,13 +439,10 @@ mod tests {
     #[test]
     fn bad_inputs_surface_as_errors() {
         let config = PipelineConfig::quick_test();
-        assert!(matches!(
-            Evaluation::new(vec![], &config),
-            Err(Error::EmptySuite)
-        ));
+        assert!(matches!(evaluate(vec![], &config), Err(Error::EmptySuite)));
         let lone = vec![prepare_benchmark(dijkstra::build(1), &config)];
         assert!(matches!(
-            Evaluation::new(lone, &config),
+            evaluate(lone, &config),
             Err(Error::NoTrainingPartners(name)) if name == "dijkstra"
         ));
 
@@ -523,6 +490,37 @@ mod tests {
         let failures = recorder.failures();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].0, Stage::Training);
+    }
+
+    /// A panic in the baselines, fitted on a worker thread beside the
+    /// GNN, reaches the supervisor with its own message.
+    #[test]
+    fn a_baseline_panic_keeps_its_message() {
+        use std::sync::Mutex;
+
+        #[derive(Default)]
+        struct Messages(Mutex<Vec<String>>);
+        impl Observer for Messages {
+            fn stage_failed(&self, _: Stage, _: &str, _: usize, message: &str) {
+                self.0.lock().expect("messages").push(message.to_string());
+            }
+        }
+
+        let mut config = PipelineConfig::quick_test(); // stage_retries = 0
+        config.train_threads = 2;
+        config.mlp.hidden = 0;
+        let data = prepare_benchmark(dijkstra::build(1), &config);
+        let observer = Messages::default();
+        let err = train_split_supervised("dijkstra", &[&data], &config, None, &observer)
+            .expect_err("the MLP cannot be built");
+        let Error::StageFailed { message, .. } = err else {
+            panic!("{err}");
+        };
+        assert!(
+            message.starts_with("valid model config") && message.contains("hidden"),
+            "{message}"
+        );
+        assert_eq!(*observer.0.lock().expect("messages"), [message]);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 use glaive_faultsim::VulnTuple;
 use glaive_gnn::{GraphSage, TrainGraph};
 use glaive_ml::{MlpClassifier, RandomForest, SvrRff};
-use glaive_nn::Matrix;
+use glaive_nn::{par, Matrix};
 use glaive_sim::Outcome;
 
 use crate::cache::{model_key, ArtifactCache};
 use crate::config::PipelineConfig;
 use crate::data::BenchData;
 use crate::error::Error;
-use crate::telemetry::Observer;
+use crate::telemetry::{NullObserver, Observer};
 
 /// The estimation methods compared throughout §V of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,13 +71,17 @@ pub struct Models {
     svr: SvrRff,
 }
 
-/// Trains every estimator on the given training benchmarks.
+/// Trains every estimator on the given training benchmarks: the GLAIVE
+/// GraphSAGE on the calling thread while one marked worker of
+/// [`glaive_nn::par`] fits the baselines, at the fan-out width
+/// [`PipelineConfig::train_threads`] sets.
 ///
 /// # Panics
 ///
 /// Panics if `train` is empty or contains no labelled data.
 pub fn train_models(train: &[&BenchData], config: &PipelineConfig) -> Models {
-    train_models_with(train, config, train_glaive(train, config))
+    train_models_cached(train, config, None, &NullObserver, "")
+        .expect("training without a cache writes nothing, so it cannot fail")
 }
 
 /// Trains the GLAIVE GraphSAGE alone on one labelled graph per benchmark
@@ -134,15 +138,44 @@ pub(crate) fn cached_glaive(
     Ok(model)
 }
 
-/// Like [`train_models`], but around an already-trained GLAIVE GraphSAGE
-/// (from [`cached_glaive`]). The cheap baselines are always retrained —
-/// only the GNN is worth caching.
-pub(crate) fn train_models_with(
+/// The body of [`train_models`] and of every evaluation split: the GLAIVE
+/// GraphSAGE from [`cached_glaive`] on the calling thread, beside the
+/// baselines on one marked worker, at the fan-out width
+/// [`PipelineConfig::train_threads`] sets. The cheap baselines are always
+/// retrained; only the GNN is worth caching.
+///
+/// # Errors
+///
+/// [`Error::Cache`] if a freshly trained GNN cannot be written back.
+pub(crate) fn train_models_cached(
     train: &[&BenchData],
     config: &PipelineConfig,
-    glaive: GraphSage,
-) -> Models {
+    cache: Option<&ArtifactCache>,
+    observer: &dyn Observer,
+    subject: &str,
+) -> Result<Models, Error> {
     assert!(!train.is_empty(), "training set is empty");
+    let (glaive, (vanilla, mlp, forest, svr)) = par::with_width(config.train_threads, |_| {
+        par::join(
+            || cached_glaive(train, config, cache, observer, subject),
+            || fit_baselines(train, config),
+        )
+    });
+    Ok(Models {
+        glaive: glaive?,
+        vanilla,
+        mlp,
+        forest,
+        svr,
+    })
+}
+
+/// The baselines of [`train_models_cached`]: the vanilla GraphSAGE when
+/// the config asks for it, MLP-BIT, RF-INST and SVM-INST.
+fn fit_baselines(
+    train: &[&BenchData],
+    config: &PipelineConfig,
+) -> (Option<GraphSage>, MlpClassifier, RandomForest, SvrRff) {
     let feature_dim = train[0].features.cols();
 
     // Vanilla ablation: identical except for symmetrised neighbourhoods.
@@ -198,14 +231,7 @@ pub(crate) fn train_models_with(
     }
     let forest = RandomForest::fit(&xi, &yi, &config.forest);
     let svr = SvrRff::fit(&xi, &yi, &config.svr);
-
-    Models {
-        glaive,
-        vanilla,
-        mlp,
-        forest,
-        svr,
-    }
+    (vanilla, mlp, forest, svr)
 }
 
 impl Models {

@@ -243,8 +243,10 @@ impl PipelineBuilder {
     }
 
     /// How many distinct training splits [`Pipeline::evaluation`] trains
-    /// at once (0 = available parallelism). Suite preparation ignores it:
-    /// benchmarks are prepared in order, each campaign on
+    /// at once (0 = available parallelism), each on one thread: a split
+    /// trains serially, whatever [`PipelineConfig::train_threads`] says,
+    /// and 1 trains the splits one after another. Suite preparation
+    /// ignores it: benchmarks are prepared in order, each campaign on
     /// [`PipelineConfig::threads`] cores.
     pub fn workers(mut self, n: usize) -> Self {
         self.pipeline.workers = n;

@@ -3,19 +3,15 @@
 //! All kernels operate on flat [`CsrView`] ranges — contiguous `&[u32]`
 //! neighbour slices — so the inner loops are allocation-free and touch
 //! memory sequentially, and they write into caller-owned matrices, which
-//! a trainer reuses across epochs. The forward mean-aggregate is
-//! row-blocked across std scoped threads for large graphs (each output
-//! row depends only on the shared input matrix, so the split is
+//! a trainer reuses across epochs. The forward mean-aggregate splits its
+//! output rows over `glaive_nn::par::row_blocks` for large graphs (each
+//! output row depends only on the shared input matrix, so the split is
 //! deterministic); the backward scatter stays serial because different
 //! source rows accumulate into the same destination rows and the
 //! summation order is part of the reproducibility contract.
 
 use glaive_graph::{CsrGraph, CsrView};
-use glaive_nn::{DetRng, Linear, LinearGrads, Matrix};
-
-/// Below this many multiply-adds the scoped-thread fan-out costs more than
-/// it saves and the serial path runs instead.
-const PARALLEL_WORK_THRESHOLD: usize = 1 << 18;
+use glaive_nn::{par, DetRng, Linear, LinearGrads, Matrix};
 
 /// Mean-aggregates `h` over each node's neighbourhood into `out`: row `v`
 /// is the mean of `h`'s rows listed in `graph.neighbors(v)`; nodes without
@@ -36,23 +32,9 @@ pub fn mean_aggregate(h: &Matrix, graph: CsrView<'_>, out: &mut Matrix) {
     );
     let cols = h.cols();
     out.reset_zeros(h.rows(), cols);
-    let work = graph.edge_count() * cols;
-    let threads = if work < PARALLEL_WORK_THRESHOLD {
-        1
-    } else {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    };
-    if threads <= 1 || out.rows() <= 1 {
-        aggregate_rows(h, graph, 0, out.data_mut());
-        return;
-    }
-    let rows_per = out.rows().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (block, chunk) in out.data_mut().chunks_mut(rows_per * cols).enumerate() {
-            scope.spawn(move || aggregate_rows(h, graph, block * rows_per, chunk));
-        }
+    let work = graph.edge_count().saturating_mul(cols);
+    par::row_blocks(out.data_mut(), cols, work, |start, block| {
+        aggregate_rows(h, graph, start, block);
     });
 }
 

@@ -1,7 +1,7 @@
 use glaive_graph::{CsrGraph, CsrView};
 use glaive_nn::{
-    relu, relu_backward, softmax_cross_entropy, softmax_rows, Adam, DetRng, Linear, LinearGrads,
-    Matrix,
+    par, relu, relu_backward, softmax_cross_entropy, softmax_rows, Adam, DetRng, Linear,
+    LinearGrads, Matrix,
 };
 
 use crate::kernels::{sage_backward_fused, sage_forward_fused, SampledCsr};
@@ -301,7 +301,13 @@ impl GraphSage {
 
     /// Trains on the given graphs for the configured number of epochs,
     /// computing per-graph gradients data-parallel across up to `threads`
-    /// worker threads (`0` = the machine's available parallelism).
+    /// threads. `threads` sets the width of every fan-out in the call
+    /// ([`glaive_nn::par::with_width`]): `0` keeps the calling thread's,
+    /// the machine's available parallelism unless the caller is a marked
+    /// worker, and `1` runs the whole call on the calling thread, kernels
+    /// included. The epoch's threads are marked, so the kernels inside
+    /// them run serially; with one graph the epoch runs on the caller and
+    /// its kernels may fan out instead.
     ///
     /// The result is **bit-identical at every thread count**: per epoch,
     /// all neighbourhoods are resampled serially from the shared RNG
@@ -340,20 +346,13 @@ impl GraphSage {
                 "feature/mask count mismatch"
             );
         }
-        let workers = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            threads
-        }
-        .min(graphs.len())
-        .max(1);
-        let mut state = TrainState::new(self, graphs.len(), workers);
-        let epoch_losses = (0..self.config.epochs)
-            .map(|_| self.epoch(graphs, &mut state))
-            .collect();
-        TrainStats { epoch_losses }
+        par::with_width(threads, |width| {
+            let mut state = TrainState::new(self, graphs.len(), width);
+            let epoch_losses = (0..self.config.epochs)
+                .map(|_| self.epoch(graphs, &mut state))
+                .collect();
+            TrainStats { epoch_losses }
+        })
     }
 
     /// One training epoch over `graphs`; returns its mean loss.
@@ -365,26 +364,17 @@ impl GraphSage {
             sample.resample(graph.graph, k, &mut self.rng);
         }
         // Read-only per-graph gradient computation, fanned out over
-        // contiguous graph chunks, one worker and workspace per chunk.
+        // contiguous graph chunks, each with its own workspace.
         let per = state.per;
-        let workers = state.workspaces.len();
         let jobs = graphs
             .chunks(per)
             .zip(state.samples.chunks(per))
             .zip(state.results.chunks_mut(per))
             .zip(&mut state.workspaces);
         let model = &*self;
-        if workers == 1 {
-            for (((gs, samples), results), ws) in jobs {
-                model.backprop_chunk(gs, samples, results, ws);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for (((gs, samples), results), ws) in jobs {
-                    scope.spawn(move || model.backprop_chunk(gs, samples, results, ws));
-                }
-            });
-        }
+        par::for_each(jobs, |(((gs, samples), results), ws)| {
+            model.backprop_chunk(gs, samples, results, ws);
+        });
         reduce_into_first(&mut state.results);
         let (total, grads) = &mut state.results[0];
         if graphs.len() > 1 {

@@ -5,6 +5,11 @@
 //! a trainer that keeps its buffers across epochs allocates none of them
 //! once they have grown (DESIGN.md §16).
 //!
+//! [`par`] is the one fan-out of the ML stack: the kernels split their
+//! output rows through it, and the GNN trainer and the evaluation's split
+//! pool spread their work with it. Its workers are marked, so a kernel
+//! called inside one runs serially: only one level spreads at a time.
+//!
 //! The paper trains a 3-layer GraphSAGE with hidden dimension 128 and a
 //! small MLP — models small enough that explicit forward/backward functions
 //! (no autograd graph) are the clearest and fastest implementation.
@@ -36,6 +41,7 @@
 mod layers;
 mod matrix;
 mod optim;
+pub mod par;
 mod rng;
 
 pub use layers::{relu, relu_backward, softmax_cross_entropy, softmax_rows, Linear, LinearGrads};

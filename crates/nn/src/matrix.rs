@@ -1,6 +1,7 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
-use std::sync::OnceLock;
+
+use crate::par;
 
 /// A dense row-major `f32` matrix; the default is `0 × 0`.
 ///
@@ -29,17 +30,6 @@ const MR: usize = 4;
 /// Panels partition work without reordering any per-element accumulation,
 /// so the value only affects speed.
 const KC: usize = 512;
-
-/// Thread budget for the row-partitioned kernels: the available
-/// parallelism, read once.
-fn tuned_threads() -> usize {
-    static T: OnceLock<usize> = OnceLock::new();
-    *T.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
 
 impl Matrix {
     /// A `rows × cols` matrix of zeros.
@@ -247,40 +237,6 @@ impl Matrix {
     }
 }
 
-/// Whether a row-partitioned kernel is worth fanning out over threads —
-/// exposed to the kernels so they can pick a different serial strategy
-/// when the answer is no.
-fn should_parallelise(rows: usize, cols: usize, inner: usize) -> bool {
-    const PARALLEL_THRESHOLD: usize = 1 << 22;
-    let work = rows.saturating_mul(cols).saturating_mul(inner.max(1));
-    work >= PARALLEL_THRESHOLD && tuned_threads() > 1 && rows >= 2
-}
-
-/// Runs `f(first_row, chunk)` over contiguous row blocks of `out`, fanning
-/// out over scoped threads when the work is large enough to amortise
-/// spawning. Each output row is owned by exactly one invocation and every
-/// kernel accumulates with a chunk-independent per-element order, so the
-/// results are bit-identical for any thread count (including one).
-fn parallel_row_chunks(
-    rows: usize,
-    cols: usize,
-    inner: usize,
-    out: &mut [f32],
-    f: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    if !should_parallelise(rows, cols, inner) {
-        f(0, out);
-        return;
-    }
-    let per = rows.div_ceil(tuned_threads());
-    std::thread::scope(|scope| {
-        for (c, chunk) in out.chunks_mut(per * cols).enumerate() {
-            let f = &f;
-            scope.spawn(move || f(c * per, chunk));
-        }
-    });
-}
-
 /// `[left ‖ right?] · b` into `out` (`n×dₗ ‖ n×dᵣ · (dₗ+dᵣ)×h → n×h`),
 /// row-partitioned over threads, without materialising the concatenation.
 ///
@@ -303,7 +259,8 @@ pub(crate) fn matmul_impl(left: &Matrix, right: Option<&Matrix>, b: &Matrix, out
     if rows == 0 || h == 0 || b.rows == 0 {
         return;
     }
-    parallel_row_chunks(rows, h, b.rows, &mut out.data, |start, chunk| {
+    let work = rows.saturating_mul(h).saturating_mul(b.rows);
+    par::row_blocks(&mut out.data, h, work, |start, chunk| {
         matmul_chunk(left, right, b, start, chunk);
     });
 }
@@ -344,7 +301,8 @@ fn tmm_rows(a: &Matrix, g: &Matrix, out: &mut [f32]) {
     if d == 0 || h == 0 || a.rows == 0 {
         return;
     }
-    parallel_row_chunks(d, h, a.rows, out, |k0, chunk| {
+    let work = d.saturating_mul(h).saturating_mul(a.rows);
+    par::row_blocks(out, h, work, |k0, chunk| {
         tmm_chunk(a, g, k0, chunk);
     });
 }

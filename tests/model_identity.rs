@@ -3,8 +3,9 @@
 //! The GraphSAGE bytes are pinned elsewhere as well (the benchmark's
 //! `train-model` digest and the 2-thread training `cmp` of
 //! `scripts/check.sh`); this file also pins the three baselines, through
-//! their estimates on the held-out program, and a small MLP fit whose
-//! layer-1 products are large enough to fan out over threads.
+//! their estimates on the held-out program, at the default thread count
+//! and serially, and a small MLP fit whose layer-1 products are large
+//! enough to fan out over threads.
 //!
 //! The full-size case is ignored by default: it prepares six programs and
 //! trains every model at the `train` workload's shape, which is slow in a
@@ -37,8 +38,8 @@ fn f32_digest(hash: u64, values: &[f32]) -> u64 {
 }
 
 /// A one-hot dataset of 1,024 rows over 64 features with a 64-wide hidden
-/// layer: rows × hidden × features is 2²², the size at which the matrix
-/// kernels split their output rows over threads on a multi-core host.
+/// layer: rows × hidden × features is 2²², enough for the matrix kernels
+/// to split their output rows over threads on a multi-core host.
 #[test]
 fn mlp_fit_is_pinned() {
     let (rows, features, classes) = (1024, 64, 3);
@@ -90,20 +91,29 @@ fn train_models_is_pinned() {
         .expect("held-out program prepared");
     let train: Vec<&BenchData> = train_set(&data, held).collect();
     assert_eq!(train.len(), 5);
-    let models = train_models(&train, &config);
+    // The default fans out (the GNN beside the baselines, the GNN's epoch
+    // over two threads on a multi-core host); 1 trains serially.
+    for train_threads in [config.train_threads, 1] {
+        let config = PipelineConfig {
+            train_threads,
+            ..config
+        };
+        let models = train_models(&train, &config);
 
-    let model = fnv1a(FNV_OFFSET, &models.glaive_model().to_bytes());
-    let estimates = Method::ALL.iter().fold(FNV_OFFSET, |h, &method| {
-        models
-            .estimate(method, held)
-            .iter()
-            .flatten()
-            .flat_map(|t| [t.crash, t.sdc, t.masked])
-            .fold(h, |h, v| fnv1a(h, &v.to_bits().to_le_bytes()))
-    });
-    assert_eq!(
-        (model, estimates),
-        (0xf7d7_45e3_624d_a8c4, 0x780a_fcb0_8b6c_4d96),
-        "model bytes or estimates moved: {model:#018x}, {estimates:#018x}"
-    );
+        let model = fnv1a(FNV_OFFSET, &models.glaive_model().to_bytes());
+        let estimates = Method::ALL.iter().fold(FNV_OFFSET, |h, &method| {
+            models
+                .estimate(method, held)
+                .iter()
+                .flatten()
+                .flat_map(|t| [t.crash, t.sdc, t.masked])
+                .fold(h, |h, v| fnv1a(h, &v.to_bits().to_le_bytes()))
+        });
+        assert_eq!(
+            (model, estimates),
+            (0xf7d7_45e3_624d_a8c4, 0x780a_fcb0_8b6c_4d96),
+            "train_threads {train_threads}: model bytes or estimates moved: \
+             {model:#018x}, {estimates:#018x}"
+        );
+    }
 }
