@@ -8,6 +8,7 @@
 //!
 //! Each benchmark module exposes `build(seed) -> Benchmark`: the compiled
 //! program, its input memory image, and metadata (category, dataset split).
+//! [`suite`] builds all twelve; [`benchmark`] builds one by name.
 //! Input sizes are scaled down from the paper so that an exhaustive-ish
 //! fault-injection campaign completes in seconds while preserving each
 //! kernel's instruction mix and dependence structure (see DESIGN.md §1).
@@ -120,23 +121,36 @@ impl Benchmark {
     }
 }
 
+/// A benchmark module's `build(seed)`.
+type Build = fn(u64) -> Benchmark;
+
+/// Each benchmark's name and builder, in suite order.
+const BUILDERS: [(&str, Build); 12] = [
+    ("dijkstra", control::dijkstra::build),
+    ("astar", control::astar::build),
+    ("streamcluster", control::streamcluster::build),
+    ("jmeint", control::jmeint::build),
+    ("sobel", control::sobel::build),
+    ("inversek2j", control::inversek2j::build),
+    ("blackscholes", data::blackscholes::build),
+    ("swaptions", data::swaptions::build),
+    ("fft", data::fft::build),
+    ("radix", data::radix::build),
+    ("ctaes", data::ctaes::build),
+    ("lu", data::lu::build),
+];
+
 /// Builds all 12 benchmarks of Table II with deterministic inputs derived
 /// from `seed`.
 pub fn suite(seed: u64) -> Vec<Benchmark> {
-    vec![
-        control::dijkstra::build(seed),
-        control::astar::build(seed),
-        control::streamcluster::build(seed),
-        control::jmeint::build(seed),
-        control::sobel::build(seed),
-        control::inversek2j::build(seed),
-        data::blackscholes::build(seed),
-        data::swaptions::build(seed),
-        data::fft::build(seed),
-        data::radix::build(seed),
-        data::ctaes::build(seed),
-        data::lu::build(seed),
-    ]
+    BUILDERS.iter().map(|(_, build)| build(seed)).collect()
+}
+
+/// Builds only the benchmark called `name`, exactly as [`suite`] builds
+/// it for `seed`; `None` if no benchmark has that name.
+pub fn benchmark(name: &str, seed: u64) -> Option<Benchmark> {
+    let (_, build) = BUILDERS.iter().find(|(n, _)| *n == name)?;
+    Some(build(seed))
 }
 
 /// A tiny deterministic PRNG (splitmix64) used by benchmark input
@@ -202,6 +216,26 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 12);
+    }
+
+    #[test]
+    fn benchmark_by_name_is_its_suite_entry() {
+        for seed in [1, 7] {
+            for b in suite(seed) {
+                let one = benchmark(b.name, seed).expect("every suite name builds");
+                let encodings = |b: &Benchmark| {
+                    let instrs = b.program().instrs().iter();
+                    instrs.map(|i| i.encode()).collect::<Vec<_>>()
+                };
+                assert_eq!(one.name, b.name);
+                assert_eq!(encodings(&one), encodings(&b), "{} at seed {seed}", b.name);
+                assert_eq!(one.init_mem, b.init_mem, "{} at seed {seed}", b.name);
+                assert_eq!(one.category, b.category, "{}", b.name);
+                assert_eq!(one.split, b.split, "{}", b.name);
+            }
+        }
+        assert!(benchmark("nope", 7).is_none());
+        assert!(benchmark("", 7).is_none());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use glaive::telemetry::{Fanout, Observer, StderrProgress, TimingRecorder};
 use glaive::{truth_key, ArtifactCache, Pipeline, PipelineConfig, QuorumPolicy};
-use glaive_bench_suite::{suite, Benchmark};
+use glaive_bench_suite::{benchmark, suite, Benchmark};
 use glaive_campaign::{run_worker_with, Coordinator, FabricConfig, FabricError, WorkerOptions};
 use glaive_cdfg::{Cdfg, CdfgConfig};
 use glaive_faultsim::{
@@ -200,9 +200,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, Box<dyn Error>> {
 }
 
 fn find_benchmark(name: &str, seed: u64) -> Result<Benchmark, Box<dyn Error>> {
-    suite(seed)
-        .into_iter()
-        .find(|b| b.name == name)
+    benchmark(name, seed)
         .ok_or_else(|| format!("unknown benchmark `{name}` (try `glaive-cli list`)").into())
 }
 

@@ -22,7 +22,9 @@
 //! Graphs enter and leave this crate as flat CSR adjacencies
 //! ([`glaive_graph::CsrGraph`]); the aggregation kernels in [`kernels`]
 //! run over contiguous CSR ranges with no per-node allocation, and
-//! per-epoch neighbour sampling reuses one [`SampledCsr`] workspace.
+//! per-epoch neighbour sampling reuses one [`SampledCsr`] workspace. A
+//! server keeps one forward [`Workspace`] across predictions
+//! ([`GraphSage::predict_proba_in`]).
 //!
 //! # Example
 //!
@@ -56,5 +58,5 @@ mod model;
 mod serdes;
 
 pub use kernels::SampledCsr;
-pub use model::{GraphSage, ModelConfigError, SageConfig, TrainGraph, TrainStats};
+pub use model::{GraphSage, ModelConfigError, SageConfig, TrainGraph, TrainStats, Workspace};
 pub use serdes::ModelDecodeError;

@@ -412,26 +412,35 @@ impl GraphSage {
     }
 
     /// Class probabilities for every node of an (unseen) graph, aggregating
-    /// over full neighbourhoods.
+    /// over full neighbourhoods: [`GraphSage::predict_proba_in`] on a fresh
+    /// workspace.
     pub fn predict_proba(&self, features: &Matrix, graph: &CsrGraph) -> Matrix {
-        self.predict_proba_view(features, graph.view())
+        self.predict_proba_in(features, graph, &mut Workspace::default())
     }
 
-    /// [`GraphSage::predict_proba`] over a borrowed CSR view — the
-    /// batched-inference entry point: a serving layer can stack several
-    /// programs' features and the disjoint union of their graphs into one
-    /// reused workspace and run a single forward pass. Every row of the
-    /// model is row-local (aggregation reads only a node's own CSR row;
-    /// linear layers, ReLU and softmax are row-wise), so each program's
-    /// rows are bit-identical to a one-program call.
-    pub fn predict_proba_view(&self, features: &Matrix, graph: CsrView<'_>) -> Matrix {
+    /// [`GraphSage::predict_proba`] with the forward pass's matrices kept
+    /// in `ws` — the serving entry point. A workspace reused across calls
+    /// grows to the largest graph it has seen and then allocates nothing
+    /// but the returned probabilities. Every kernel refills its output
+    /// before writing, so the result is bit-identical to a fresh
+    /// workspace's whatever graphs `ws` served before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features` has a different row count than `graph` has
+    /// nodes.
+    pub fn predict_proba_in(
+        &self,
+        features: &Matrix,
+        graph: &CsrGraph,
+        ws: &mut Workspace,
+    ) -> Matrix {
         assert_eq!(
             features.rows(),
             graph.node_count(),
             "feature/neighbour count mismatch"
         );
-        let mut ws = Workspace::default();
-        self.forward(features, graph, &mut ws);
+        self.forward(features, graph.view(), ws);
         softmax_rows(&ws.logits)
     }
 
@@ -449,10 +458,11 @@ impl GraphSage {
 }
 
 /// The matrices of one forward and backward pass. Every kernel reshapes
-/// its output in place, so a workspace reused across epochs allocates none
-/// of them once each has grown to the largest graph it serves.
+/// its output in place, so a workspace reused across epochs, or across
+/// served programs ([`GraphSage::predict_proba_in`]), allocates none of
+/// them once each has grown to the largest graph it serves.
 #[derive(Debug, Default)]
-struct Workspace {
+pub struct Workspace {
     /// Each hidden layer's output, ReLU applied in place: the next layer's
     /// input and the mask of this layer's ReLU backward.
     hidden: Vec<Matrix>,
@@ -1075,6 +1085,47 @@ mod tests {
                     assert_eq!(*want, now, "{workers} workers, epoch {epoch}");
                 }
             }
+        }
+    }
+
+    /// One workspace serving a big graph, then a small one, then the big
+    /// one again gives every call the bits of a fresh `predict_proba`, and
+    /// every forward matrix keeps the buffer of the first call: a served
+    /// program allocates none of them once the workspace has grown.
+    #[test]
+    fn reused_workspace_predicts_serial_bits_in_any_size_order() {
+        let task = |n: usize, seed: u64| {
+            let mut rng = DetRng::new(seed);
+            let feats = Matrix::from_fn(n, 3, |_, _| rng.uniform(-1.0, 1.0));
+            let lists: Vec<Vec<u32>> = (0..n)
+                .map(|v| (0..v.min(4)).map(|_| rng.next_below(v) as u32).collect())
+                .collect();
+            (feats, csr_from_lists(&lists))
+        };
+        let (big, small) = (task(300, 5), task(40, 6));
+        let config = SageConfig {
+            hidden: 6,
+            layers: 3,
+            ..small_config()
+        };
+        let model = GraphSage::try_new(3, &config).expect("valid model config");
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let buffers = |ws: &Workspace| {
+            let mats = ws.hidden.iter().chain(&ws.aggs).chain([&ws.logits]);
+            mats.map(|m| m.data().as_ptr()).collect::<Vec<_>>()
+        };
+        let mut ws = Workspace::default();
+        let mut first = None;
+        for (i, (feats, graph)) in [&big, &small, &big].into_iter().enumerate() {
+            let got = model.predict_proba_in(feats, graph, &mut ws);
+            assert_eq!(
+                bits(&got),
+                bits(&model.predict_proba(feats, graph)),
+                "call {i}"
+            );
+            let now = buffers(&ws);
+            assert_eq!(now.len(), 2 * config.layers, "call {i}");
+            assert_eq!(*first.get_or_insert_with(|| now.clone()), now, "call {i}");
         }
     }
 

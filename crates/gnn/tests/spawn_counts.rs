@@ -1,9 +1,9 @@
-//! Thread spawns of a GraphSAGE fit, pinned. `glaive_nn::par` counts
-//! every thread it spawns in one process-wide counter, so this file is a
-//! test binary of its own with a single test: nothing else spawns while
-//! it counts.
+//! Thread spawns of a GraphSAGE fit and of a served forward pass,
+//! pinned. `glaive_nn::par` counts every thread it spawns in one
+//! process-wide counter, so this file is a test binary of its own with a
+//! single test: nothing else spawns while it counts.
 
-use glaive_gnn::{GraphSage, SageConfig, TrainGraph};
+use glaive_gnn::{GraphSage, SageConfig, TrainGraph, Workspace};
 use glaive_graph::CsrGraph;
 use glaive_nn::{par, DetRng, Matrix};
 
@@ -63,6 +63,23 @@ fn spawn_counts_are_pinned() {
     // Width 1 runs the whole fit, kernels included, on the caller.
     assert_eq!(spawns_of_fit(&graphs, &config, 1), 0);
     assert_eq!(spawns_of_fit(&graphs[..1], &config, 1), 0);
+
+    // A served program's pass on a serial caller. At 4,096 nodes every
+    // kernel is above the threshold (the smallest, each aggregate, does
+    // 4 edges × 32 columns a node), so each of the two kernel calls per
+    // layer spawns one worker at width 2, and none spawns at width 1, on
+    // a warm workspace as on a fresh one.
+    let (features, graph, _, _) = task(4096, 5);
+    let model = GraphSage::try_new(DIM, &config).expect("valid model config");
+    let mut ws = Workspace::default();
+    for (width, want) in [(2, 2 * config.layers), (1, 0), (2, 2 * config.layers)] {
+        let before = par::spawned();
+        let probs = par::with_width(width, |_| {
+            model.predict_proba_in(&features, &graph, &mut ws)
+        });
+        assert_eq!(par::spawned() - before, want, "width {width}");
+        assert_eq!(probs.data(), model.predict_proba(&features, &graph).data());
+    }
 
     // A product large enough to spread on a serial caller runs serially
     // inside a marked worker.

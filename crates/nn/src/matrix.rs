@@ -83,14 +83,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its row-major buffer — the inverse
-    /// of [`Matrix::from_vec`], so callers that stage data into a matrix
-    /// (e.g. a batched-inference workspace) can reclaim the allocation and
-    /// reuse its capacity for the next batch.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reshapes to `rows × cols` with every element `+0.0`, keeping the
     /// buffer's capacity. Every kernel that writes into a caller's matrix
     /// starts here, so a reused output accumulates from the same `+0.0`

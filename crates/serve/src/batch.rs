@@ -1,20 +1,17 @@
-//! Request coalescing: concurrent predict requests are merged into one
-//! multi-graph forward pass over a block-diagonal disjoint union of their
-//! CDFGs.
+//! Request coalescing: the batcher drains every pending job at once and
+//! runs one GraphSAGE forward pass per program, in drain order, on one
+//! forward workspace it keeps for as long as the server runs.
 //!
-//! Batching is **bit-identical** to one-at-a-time inference because every
-//! operation in the GraphSAGE forward pass is row-local: mean aggregation
-//! reads only a node's own CSR row, the linear layers accumulate per
-//! output row, and ReLU/softmax are row-wise. A disjoint union introduces
-//! no cross-program edges, so each program's rows see exactly the
-//! neighbourhoods — and therefore exactly the floating-point operation
-//! sequences — they would see alone.
+//! Each pass is exactly serial inference on that program — the cached
+//! features and predecessor CSR are read in place, and every kernel
+//! refills its reused output before writing — so every reply is
+//! **bit-identical** to a one-program [`GraphSage::predict_proba`] call,
+//! whatever the workspace served before.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
-use glaive_gnn::GraphSage;
-use glaive_graph::CsrView;
+use glaive_gnn::{GraphSage, Workspace};
 use glaive_nn::Matrix;
 
 use crate::cache::PreparedProgram;
@@ -119,24 +116,23 @@ impl<T> Default for JobQueue<T> {
     }
 }
 
-/// The result of one coalesced forward pass, from the perspective of a
-/// single request.
+/// One drained job's share of a batch, from the perspective of a single
+/// request.
 pub struct BatchResult {
-    /// Per-bit-node class probabilities for this request's program only.
+    /// Per-bit-node class probabilities for this request's program.
     pub probs: Matrix,
-    /// How many requests shared the forward pass.
+    /// How many requests were drained together with this one.
     pub batch_size: u32,
 }
 
-/// Reusable staging buffers for the batched forward pass — the
-/// `SampledCsr` discipline: allocate on the first batch, reuse capacity
-/// forever after, so steady-state serving does no per-request graph
-/// allocation.
+/// The batcher's forward workspace, reused for as long as the server
+/// runs: each program's pass writes its aggregates, hidden outputs and
+/// logits into the same matrices, so once they have grown to the largest
+/// program served, steady-state serving allocates only each job's
+/// probabilities.
 #[derive(Default)]
 pub struct BatchWorkspace {
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    feats: Vec<f32>,
+    forward: Workspace,
 }
 
 impl BatchWorkspace {
@@ -145,111 +141,25 @@ impl BatchWorkspace {
         BatchWorkspace::default()
     }
 
-    /// Runs coalesced forward passes over `prepared` and returns one
-    /// [`BatchResult`] per program, in input order.
-    ///
-    /// The staged union indexes nodes and edges with `u32` (the CSR
-    /// discipline), so a drained backlog whose totals exceed `u32::MAX` is
-    /// split into consecutive chunks that each fit — the bases can never
-    /// wrap. Splitting preserves bit-identical results because every
-    /// forward-pass operation is row-local (see the module docs).
+    /// Runs one forward pass per program of a drained batch, in order, and
+    /// returns one [`BatchResult`] per program. Each pass reads the cached
+    /// features and predecessor CSR in place and *is* serial inference,
+    /// so its probabilities are bit-identical to
+    /// [`GraphSage::predict_proba`] on that program alone.
     pub fn run_prepared(
         &mut self,
         model: &GraphSage,
         prepared: &[Arc<PreparedProgram>],
     ) -> Vec<BatchResult> {
-        let mut out = Vec::with_capacity(prepared.len());
-        let mut rest = prepared;
-        while !rest.is_empty() {
-            let take = chunk_len(rest);
-            self.run_chunk(model, &rest[..take], &mut out);
-            rest = &rest[take..];
-        }
-        out
-    }
-
-    /// One forward pass over `chunk`, whose node/edge totals are already
-    /// known to fit in `u32`; appends one result per program to `out`.
-    fn run_chunk(
-        &mut self,
-        model: &GraphSage,
-        chunk: &[Arc<PreparedProgram>],
-        out: &mut Vec<BatchResult>,
-    ) {
-        let batch_size = chunk.len() as u32;
-        let total_nodes: usize = chunk.iter().map(|p| p.cdfg.node_count()).sum();
-        let total_edges: usize = chunk.iter().map(|p| p.cdfg.preds_csr().edge_count()).sum();
-
-        // Block-diagonal disjoint union of the predecessor graphs, staged
-        // into the reusable buffers: each part's rows are copied verbatim,
-        // node ids shifted by the preceding parts' node counts and offsets
-        // by their edge counts, so no edge crosses a part boundary.
-        self.offsets.clear();
-        self.targets.clear();
-        self.feats.clear();
-        self.offsets.reserve(total_nodes + 1);
-        self.targets.reserve(total_edges);
-        self.offsets.push(0);
-        let mut node_base = 0u32;
-        let mut edge_base = 0u32;
-        for p in chunk {
-            let g = p.cdfg.preds_csr();
-            self.offsets
-                .extend(g.offsets()[1..].iter().map(|&o| edge_base + o));
-            self.targets
-                .extend(g.targets().iter().map(|&t| node_base + t));
-            self.feats.extend_from_slice(p.features.data());
-            node_base += g.node_count() as u32;
-            edge_base += g.edge_count() as u32;
-        }
-
-        let dim = glaive_cdfg::FEATURE_DIM;
-        let features = Matrix::from_vec(total_nodes, dim, std::mem::take(&mut self.feats));
-        let probs = model.predict_proba_view(&features, CsrView::new(&self.offsets, &self.targets));
-        // Reclaim the staging allocation for the next batch.
-        self.feats = features.into_vec();
-
-        let classes = probs.cols();
-        let mut row = 0usize;
-        for p in chunk {
-            let n = p.cdfg.node_count();
-            let slice = &probs.data()[row * classes..(row + n) * classes];
-            row += n;
-            out.push(BatchResult {
-                probs: Matrix::from_vec(n, classes, slice.to_vec()),
+        let batch_size = prepared.len() as u32;
+        prepared
+            .iter()
+            .map(|p| BatchResult {
+                probs: model.predict_proba_in(&p.features, p.cdfg.preds_csr(), &mut self.forward),
                 batch_size,
-            });
-        }
+            })
+            .collect()
     }
-}
-
-/// Length of the longest `prepared` prefix whose summed node and edge
-/// counts both fit in `u32` (always ≥ 1: a single program's CSR is
-/// `u32`-indexed by construction, so one program always fits).
-fn chunk_len(prepared: &[Arc<PreparedProgram>]) -> usize {
-    chunk_len_by(prepared.iter().map(|p| {
-        let g = p.cdfg.preds_csr();
-        (g.node_count() as u32, g.edge_count() as u32)
-    }))
-}
-
-/// [`chunk_len`] over bare `(node_count, edge_count)` sizes, so the
-/// overflow boundary is testable without multi-gigabyte graphs.
-fn chunk_len_by(sizes: impl Iterator<Item = (u32, u32)>) -> usize {
-    let mut nodes = 0u32;
-    let mut edges = 0u32;
-    let mut len = 0;
-    for (n, e) in sizes {
-        match (nodes.checked_add(n), edges.checked_add(e)) {
-            (Some(n), Some(e)) => {
-                nodes = n;
-                edges = e;
-                len += 1;
-            }
-            _ => return len.max(1),
-        }
-    }
-    len.max(1)
 }
 
 #[cfg(test)]
@@ -312,34 +222,34 @@ mod tests {
         }
     }
 
+    /// One workspace serving a big program, then a small one, then the big
+    /// one again, across batches and within one, answers each with the
+    /// bits of serial `predict_proba`: a pass on a shrunken workspace
+    /// leaks nothing into the next.
     #[test]
-    fn workspace_buffers_are_reused_across_batches() {
+    fn reused_workspace_is_bit_identical_to_serial_in_any_size_order() {
         let model = model();
         let config = CdfgConfig { bit_stride: 8 };
-        let p = Arc::new(PreparedProgram::build(program(5, 3), &config));
-        let mut ws = BatchWorkspace::new();
-        for round in 0..3 {
-            let results = ws.run_prepared(&model, std::slice::from_ref(&p));
-            assert_eq!(results.len(), 1, "round {round}");
-            assert_eq!(results[0].batch_size, 1, "round {round}");
-        }
-        assert!(ws.feats.capacity() > 0, "staging buffer retained");
-    }
+        let big = Arc::new(PreparedProgram::build(program(7, 64), &config));
+        let small = Arc::new(PreparedProgram::build(program(-2, 1), &config));
+        assert!(big.cdfg.node_count() > 4 * small.cdfg.node_count());
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
-    #[test]
-    fn chunking_splits_before_u32_bases_can_wrap() {
-        const M: u32 = u32::MAX;
-        // Everything fits: one chunk.
-        assert_eq!(chunk_len_by([(10, 20), (30, 40)].into_iter()), 2);
-        // Node total would wrap at the third item.
-        assert_eq!(
-            chunk_len_by([(M / 2, 1), (M / 2, 1), (2, 1)].into_iter()),
-            2
-        );
-        // Edge total would wrap at the second item.
-        assert_eq!(chunk_len_by([(1, M), (1, 1)].into_iter()), 1);
-        // A single over-large head still forms a chunk of one.
-        assert_eq!(chunk_len_by([(M, M), (1, 1)].into_iter()), 1);
+        let mut ws = BatchWorkspace::new();
+        let batches = [
+            vec![big.clone()],
+            vec![small.clone()],
+            vec![big.clone(), small, big],
+        ];
+        for (i, batch) in batches.iter().enumerate() {
+            let results = ws.run_prepared(&model, batch);
+            assert_eq!(results.len(), batch.len(), "batch {i}");
+            for (p, got) in batch.iter().zip(&results) {
+                assert_eq!(got.batch_size as usize, batch.len(), "batch {i}");
+                let serial = model.predict_proba(&p.features, p.cdfg.preds_csr());
+                assert_eq!(bits(&got.probs), bits(&serial), "batch {i}");
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   [`ProtocolError`], never a panic.
 //! - [`cache`] — a content-addressed, sharded LRU of prepared programs
 //!   (CDFG + features), keyed by [`program_fingerprint`].
-//! - [`batch`] — request coalescing: concurrent requests merge into one
-//!   block-diagonal forward pass that is bit-identical to serial
-//!   inference (every GraphSAGE op is row-local).
+//! - [`batch`] — request coalescing: the batcher drains every pending
+//!   request and runs one forward pass per program on one reused
+//!   workspace, each pass bit-identical to serial inference.
 //! - [`server`] — a readiness-driven event loop (one poll thread owns
 //!   every socket, requests pipeline per connection, a bounded admission
 //!   queue sheds overload as typed `Busy` replies), the

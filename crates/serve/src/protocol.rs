@@ -124,7 +124,7 @@ pub struct PredictReply {
     pub top_k: Vec<u32>,
     /// Bit-level CDFG nodes the estimate aggregated over.
     pub node_count: u32,
-    /// How many coalesced requests shared this forward pass (≥ 1).
+    /// How many requests were drained together with this one (≥ 1).
     pub batch_size: u32,
     /// Per-node class probability rows, when the request set `want_bits`.
     pub bit_probs: Option<Vec<WireTuple>>,
@@ -150,7 +150,7 @@ pub struct BudgetReply {
     pub items: Vec<BudgetItem>,
     /// Bit-level CDFG nodes the estimate aggregated over.
     pub node_count: u32,
-    /// How many coalesced requests shared this forward pass (≥ 1).
+    /// How many requests were drained together with this one (≥ 1).
     pub batch_size: u32,
     /// Golden-run total cycles of the program.
     pub total_cycles: u64,
@@ -169,9 +169,9 @@ pub struct StatsReply {
     pub requests: u64,
     /// Predict requests served.
     pub predictions: u64,
-    /// Batched forward passes run.
+    /// Batches drained (each runs one forward pass per request).
     pub batches: u64,
-    /// Largest coalesced batch so far.
+    /// Most requests drained together so far.
     pub peak_batch: u64,
     /// Graph-cache hits.
     pub cache_hits: u64,

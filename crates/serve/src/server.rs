@@ -16,8 +16,9 @@
 //! - `workers` **prep workers** resolve programs and build CDFGs through
 //!   the sharded [`GraphCache`], then queue inference jobs;
 //! - one **batcher** thread owns the model and a [`BatchWorkspace`]; each
-//!   time it wakes it drains *every* pending job into one coalesced
-//!   forward pass, so concurrency turns directly into batch size. Results
+//!   time it wakes it drains *every* pending job and runs one forward
+//!   pass per job, in drain order, on the workspace it keeps for the
+//!   server's lifetime; concurrency turns into batch size. Results
 //!   flow back to the poll thread as completions tagged with a
 //!   `(connection, generation, sequence)` token, so a slot reused by a
 //!   new connection can never receive a stale reply.
@@ -37,7 +38,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use glaive::telemetry::{NullObserver, Observer, Stage};
-use glaive_bench_suite::suite;
+use glaive_bench_suite::benchmark;
 use glaive_cdfg::CdfgConfig;
 use glaive_gnn::GraphSage;
 use glaive_isa::Program;
@@ -603,9 +604,7 @@ fn prepare(
 /// programs — the client shipped no inputs).
 fn resolve_program(spec: &ProgramSpec) -> Result<(Program, Vec<u64>), Response> {
     match spec {
-        ProgramSpec::Suite { name, seed } => suite(*seed)
-            .into_iter()
-            .find(|b| b.name == name.as_str())
+        ProgramSpec::Suite { name, seed } => benchmark(name, *seed)
             .map(|b| (b.program().clone(), b.init_mem))
             .ok_or_else(|| Response::Error {
                 code: ErrorCode::UnknownBenchmark,
@@ -668,8 +667,8 @@ impl Drop for BatcherExitGuard<'_> {
     }
 }
 
-/// The batching inference thread: drain everything pending, one coalesced
-/// forward pass, one completion per job.
+/// The batching inference thread: drain everything pending, then one
+/// forward pass and one completion per job.
 fn batcher_loop(model: &GraphSage, shared: &Shared, completions: &mpsc::Sender<Completion>) {
     let _guard = BatcherExitGuard {
         shared,
@@ -704,7 +703,7 @@ fn batcher_loop(model: &GraphSage, shared: &Shared, completions: &mpsc::Sender<C
     }
 }
 
-/// Aggregates one job's slice of a batched result into its wire reply.
+/// Aggregates one job's probabilities into its wire reply.
 fn predict_reply(job: &ServeJob, top_k: u32, want_bits: bool, result: &BatchResult) -> Response {
     let prepared = &job.prepared;
     let program_len = prepared.program.len();
@@ -1131,6 +1130,31 @@ fn admit(
                 code: ErrorCode::ShuttingDown,
                 message: "server is draining".into(),
             },
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn suite_requests_resolve_by_name_and_unknown_names_are_typed() {
+        let spec = |name: &str| ProgramSpec::Suite {
+            name: name.into(),
+            seed: 7,
+        };
+        let (program, init_mem) = resolve_program(&spec("lu")).expect("a suite name resolves");
+        let lu = glaive_bench_suite::benchmark("lu", 7).expect("suite benchmark");
+        assert_eq!(program.name(), "lu");
+        assert_eq!(program.len(), lu.program().len());
+        assert_eq!(init_mem, lu.init_mem);
+        assert_eq!(
+            resolve_program(&spec("nope")).map(|_| ()),
+            Err(Response::Error {
+                code: ErrorCode::UnknownBenchmark,
+                message: "no suite benchmark named `nope`".into(),
+            })
         );
     }
 }

@@ -86,13 +86,27 @@ fn serial_probs(model: &GraphSage, program: &Program) -> Matrix {
 
 /// Concurrent clients hammering the coalescing path must each receive
 /// results bit-identical to single-program serial inference with the same
-/// weights — the service-level differential guarantee.
+/// weights — the service-level differential guarantee. Suite `lu` rides
+/// beside the three tiny programs: its first layer's kernels spread over
+/// threads, and the batcher's workspace shrinks and regrows between jobs.
 #[test]
 fn batched_inference_is_bit_identical_to_serial_under_concurrency() {
     let model = model();
-    let programs = programs();
-    let references: Vec<Matrix> = programs.iter().map(|p| serial_probs(&model, p)).collect();
-    let programs = Arc::new(programs);
+    let lu = glaive_bench_suite::benchmark("lu", 7).expect("suite benchmark");
+    let mut jobs: Vec<(ProgramSpec, Program)> = programs()
+        .into_iter()
+        .map(|p| (ProgramSpec::Raw(p.clone()), p))
+        .collect();
+    let lu_spec = ProgramSpec::Suite {
+        name: "lu".into(),
+        seed: 7,
+    };
+    jobs.push((lu_spec, lu.program().clone()));
+    let references: Vec<Matrix> = jobs.iter().map(|(_, p)| serial_probs(&model, p)).collect();
+    // The first layer's matmul does rows × hidden × 2·FEATURE_DIM
+    // multiply-adds; at 2^18 and above it spreads.
+    assert!(references[3].rows() * 8 * 2 * FEATURE_DIM >= 1 << 18);
+    let jobs = Arc::new(jobs);
     let references = Arc::new(references);
 
     const CLIENTS: usize = 6;
@@ -113,7 +127,7 @@ fn batched_inference_is_bit_identical_to_serial_under_concurrency() {
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let threads: Vec<_> = (0..CLIENTS)
         .map(|id| {
-            let programs = programs.clone();
+            let jobs = jobs.clone();
             let references = references.clone();
             let mismatches = mismatches.clone();
             let barrier = barrier.clone();
@@ -121,14 +135,14 @@ fn batched_inference_is_bit_identical_to_serial_under_concurrency() {
                 let mut client = Client::connect(addr).expect("connect");
                 barrier.wait();
                 for r in 0..REQUESTS {
-                    let which = (id + r) % programs.len();
-                    let spec = ProgramSpec::Raw(programs[which].clone());
+                    let which = (id + r) % jobs.len();
+                    let (spec, program) = &jobs[which];
                     let reply = client
-                        .predict(spec, STRIDE as u32, 5, true)
+                        .predict(spec.clone(), STRIDE as u32, 5, true)
                         .expect("predict");
                     let serial = &references[which];
                     assert_eq!(reply.node_count as usize, serial.rows());
-                    assert_eq!(reply.tuples.len(), programs[which].len());
+                    assert_eq!(reply.tuples.len(), program.len());
                     let bits = reply.bit_probs.as_deref().expect("requested bit probs");
                     let identical = bits.len() == serial.rows()
                         && bits.iter().enumerate().all(|(row, got)| {
