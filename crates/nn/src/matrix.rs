@@ -11,7 +11,9 @@ use crate::par;
 /// element** — `k`-ascending for `matmul`, input-row-ascending for
 /// `transpose_matmul` — so their results are bit-identical to the
 /// straightforward scalar loops at any block size and any thread count
-/// (see DESIGN.md §16).
+/// (see DESIGN.md §16). Products with only a few output columns take
+/// narrow kernels that vectorise over rows or over `k` instead, in the
+/// same per-element order.
 #[derive(Clone, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
@@ -28,8 +30,22 @@ const MR: usize = 4;
 /// panel of `b` rows across all output rows before moving to the next, and
 /// `transpose_matmul` processes its output in panels of this many rows.
 /// Panels partition work without reordering any per-element accumulation,
-/// so the value only affects speed.
+/// so the value only affects speed. The narrow kernels size their stack
+/// scratch by it too.
 const KC: usize = 512;
+
+/// Output widths up to which `matmul` and `transpose_matmul` take the
+/// narrow kernels ([`narrow_matmul_chunk`], [`narrow_tmm_chunk`]): an
+/// output row this short cannot fill a vector, so they vectorise over
+/// rows or over `k` instead. Timed against the blocked kernels at 1–32
+/// output columns (DESIGN.md §16): the narrow forward wins up to 7 and
+/// loses from 8, the narrow weight gradient wins up to 24. A pure tuning
+/// constant.
+const NARROW: usize = 7;
+
+/// Rows per block of the narrow `matmul` kernel: the lanes of the one
+/// vector it adds per `k`.
+const RB: usize = 16;
 
 impl Matrix {
     /// A `rows × cols` matrix of zeros.
@@ -252,8 +268,13 @@ pub(crate) fn matmul_impl(left: &Matrix, right: Option<&Matrix>, b: &Matrix, out
         return;
     }
     let work = rows.saturating_mul(h).saturating_mul(b.rows);
+    let kernel = if h <= NARROW {
+        narrow_matmul_chunk
+    } else {
+        matmul_chunk
+    };
     par::row_blocks(&mut out.data, h, work, |start, chunk| {
-        matmul_chunk(left, right, b, start, chunk);
+        kernel(left, right, b, start, chunk);
     });
 }
 
@@ -294,8 +315,13 @@ fn tmm_rows(a: &Matrix, g: &Matrix, out: &mut [f32]) {
         return;
     }
     let work = d.saturating_mul(h).saturating_mul(a.rows);
+    let kernel = if h <= NARROW {
+        narrow_tmm_chunk
+    } else {
+        tmm_chunk
+    };
     par::row_blocks(out, h, work, |k0, chunk| {
-        tmm_chunk(a, g, k0, chunk);
+        kernel(a, g, k0, chunk);
     });
 }
 
@@ -513,6 +539,113 @@ fn axpy4_seq(
         axpy(out, a1, b1);
         axpy(out, a2, b2);
         axpy(out, a3, b3);
+    }
+}
+
+/// `acc += a · b` lane by lane, where `a` is not zero; a zero `a` leaves
+/// its lane as it is. The select is the blocked kernels' zero skip, so a
+/// zero `a` against an infinite or NaN `b` is skipped here too.
+#[inline(always)]
+fn masked_axpy(acc: &mut [f32], a: &[f32], b: f32) {
+    for (o, &x) in acc.iter_mut().zip(a) {
+        let sum = *o + x * b;
+        *o = if x != 0.0 { sum } else { *o };
+    }
+}
+
+/// The narrow `matmul` kernel (`h ≤ NARROW`) over output rows
+/// `start..start+chunk/h`.
+///
+/// Each block of `RB` rows copies its `[left ‖ right]` values, one
+/// `k`-panel at a time, transposed into stack scratch, so that every `k`
+/// adds one `RB`-lane vector over rows to each output column's
+/// accumulator. Every output element still receives `a·b` in ascending
+/// `k`, the left source's columns first, with zero `a` skipped — the
+/// blocked kernel's order, so the same bits.
+fn narrow_matmul_chunk(
+    left: &Matrix,
+    right: Option<&Matrix>,
+    b: &Matrix,
+    start: usize,
+    chunk: &mut [f32],
+) {
+    let h = b.cols;
+    let dl = left.cols;
+    let d = b.rows;
+    let mut panel = [[0.0f32; RB]; KC];
+    let mut accs = [[0.0f32; RB]; NARROW];
+    for (block, out) in chunk.chunks_mut(RB * h).enumerate() {
+        let i0 = start + block * RB;
+        let rows = out.len() / h;
+        let accs = &mut accs[..h];
+        accs.fill([0.0; RB]);
+        let mut kb = 0;
+        while kb < d {
+            let ke = (kb + KC).min(d);
+            let panel = &mut panel[..ke - kb];
+            if rows < RB {
+                // Lanes past the block's last row read zero, a skip.
+                panel.iter_mut().for_each(|lanes| lanes[rows..].fill(0.0));
+            }
+            for r in 0..rows {
+                let i = i0 + r;
+                if kb < dl {
+                    for (lanes, &v) in panel.iter_mut().zip(&left.row(i)[kb..ke.min(dl)]) {
+                        lanes[r] = v;
+                    }
+                }
+                if let Some(rm) = right {
+                    if ke > dl {
+                        let s = kb.max(dl);
+                        let lanes = panel[s - kb..].iter_mut();
+                        for (lanes, &v) in lanes.zip(&rm.row(i)[s - dl..ke - dl]) {
+                            lanes[r] = v;
+                        }
+                    }
+                }
+            }
+            for (t, a) in panel.iter().enumerate() {
+                for (acc, &bv) in accs.iter_mut().zip(b.row(kb + t)) {
+                    masked_axpy(acc, a, bv);
+                }
+            }
+            kb = ke;
+        }
+        for (r, row) in out.chunks_mut(h).enumerate() {
+            for (o, acc) in row.iter_mut().zip(accs.iter()) {
+                *o = acc[r];
+            }
+        }
+    }
+}
+
+/// The narrow `transpose_matmul` kernel (`h ≤ NARROW`) for output rows
+/// (`a` columns) `k0..k0+chunk/h`.
+///
+/// Each `k`-panel of the output accumulates transposed in stack scratch,
+/// one row of `KC` accumulators per output column, and each input row
+/// adds one vector over `k` to every one of them, rows in ascending order —
+/// the rank-1-update order of the blocked kernel, with the zero-`a` skip
+/// as a select, so the same bits.
+fn narrow_tmm_chunk(a: &Matrix, g: &Matrix, k0: usize, chunk: &mut [f32]) {
+    let h = g.cols;
+    let mut accs = [[0.0f32; KC]; NARROW];
+    for (p, out) in chunk.chunks_mut(KC * h).enumerate() {
+        let ks = k0 + p * KC;
+        let len = out.len() / h;
+        let accs = &mut accs[..h];
+        accs.iter_mut().for_each(|acc| acc[..len].fill(0.0));
+        for i in 0..a.rows {
+            let ar = &a.row(i)[ks..ks + len];
+            for (acc, &gv) in accs.iter_mut().zip(g.row(i)) {
+                masked_axpy(&mut acc[..len], ar, gv);
+            }
+        }
+        for (t, row) in out.chunks_mut(h).enumerate() {
+            for (o, acc) in row.iter_mut().zip(accs.iter()) {
+                *o = acc[t];
+            }
+        }
     }
 }
 
@@ -780,6 +913,162 @@ mod tests {
                 tmm_chunk(&a, &g, c * chunk_rows, chunk);
             }
             assert_bits_eq(&out, &tm_whole, &format!("tmm chunks of {chunk_rows}"));
+        }
+    }
+
+    /// Row counts around the narrow kernel's `RB`-row block.
+    const NARROW_ROWS: [usize; 6] = [0, 1, RB - 1, RB, RB + 1, 2 * RB + 1];
+
+    /// `[left ‖ right]` widths: empty halves, a short `k`, and `k` across
+    /// the `KC` panel, split inside and outside the panel.
+    const NARROW_SPLITS: [(usize, usize); 8] = [
+        (0, 0),
+        (0, 5),
+        (5, 0),
+        (3, 4),
+        (0, KC + 1),
+        (KC - 1, 0),
+        (KC, 1),
+        (200, KC - 197),
+    ];
+
+    /// Both narrow kernels against the scalar oracles at every output
+    /// width up to one past the cut-over (where the blocked kernels take
+    /// over), through the fused concat entry points.
+    #[test]
+    fn narrow_kernels_match_scalar_oracles_at_every_width() {
+        for h in 1..=NARROW + 1 {
+            for &m in &NARROW_ROWS {
+                for &(dl, dr) in &NARROW_SPLITS {
+                    let left = probe(m, dl, 30 + h);
+                    let right = probe(m, dr, 31);
+                    let z = left.hconcat(&right);
+                    let w = probe(dl + dr, h, 32);
+                    let what = format!("{m}x[{dl}|{dr}] -> {h}");
+                    assert_bits_eq(
+                        &matmul_concat(&left, &right, &w),
+                        &oracle_matmul(&z, &w),
+                        &format!("matmul {what}"),
+                    );
+                    let g = probe(m, h, 33);
+                    assert_bits_eq(
+                        &transpose_matmul_concat(&left, &right, &g),
+                        &oracle_transpose_matmul(&z, &g),
+                        &format!("transpose_matmul {what}"),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Each narrow kernel run chunk by chunk, at every chunk boundary,
+    /// equals the oracle: row blocks and `k` panels restart per chunk.
+    #[test]
+    fn narrow_chunks_match_the_oracles_at_every_boundary() {
+        for h in 1..=NARROW {
+            let (left, right) = (probe(2 * RB + 1, 20, 34), probe(2 * RB + 1, 17, 35));
+            let b = probe(37, h, 36);
+            let want = oracle_matmul(&left.hconcat(&right), &b);
+            for chunk_rows in 1..=left.rows {
+                let mut out = Matrix::zeros(left.rows, h);
+                for (c, chunk) in out.data.chunks_mut(chunk_rows * h).enumerate() {
+                    narrow_matmul_chunk(&left, Some(&right), &b, c * chunk_rows, chunk);
+                }
+                assert_bits_eq(&out, &want, &format!("matmul {h} wide, {chunk_rows} rows"));
+            }
+            for k in [37, KC + 3] {
+                let a = probe(RB + 1, k, 37);
+                let g = probe(RB + 1, h, 38);
+                let want = oracle_transpose_matmul(&a, &g);
+                let sizes = (1..=37).chain([KC - 1, KC, KC + 3]);
+                for chunk_rows in sizes.filter(|&c| c <= k) {
+                    let mut out = Matrix::zeros(k, h);
+                    for (c, chunk) in out.data.chunks_mut(chunk_rows * h).enumerate() {
+                        narrow_tmm_chunk(&a, &g, c * chunk_rows, chunk);
+                    }
+                    let what = format!("tmm {k}x{h}, {chunk_rows} rows");
+                    assert_bits_eq(&out, &want, &what);
+                }
+            }
+        }
+    }
+
+    /// The narrow kernels refill a reused output holding stale NaNs and
+    /// negative zeros, and keep its buffer.
+    #[test]
+    fn narrow_kernels_overwrite_reused_outputs() {
+        let mut out = Matrix::from_fn(
+            KC + 8,
+            8,
+            |r, c| {
+                if (r + c) % 2 == 0 {
+                    -0.0
+                } else {
+                    f32::NAN
+                }
+            },
+        );
+        let ptr = out.data().as_ptr();
+        for h in [1, 3, NARROW] {
+            for &(m, dl, dr) in &[(RB + 1, 3usize, 4usize), (2 * RB + 1, 0, 9), (5, KC, 1)] {
+                let left = probe(m, dl, 39);
+                let right = probe(m, dr, 40);
+                let z = left.hconcat(&right);
+                let w = probe(dl + dr, h, 41);
+                let what = format!("{m}x[{dl}|{dr}] -> {h}");
+                matmul_impl(&left, Some(&right), &w, &mut out);
+                assert_bits_eq(&out, &oracle_matmul(&z, &w), &format!("matmul {what}"));
+                let g = probe(m, h, 42);
+                transpose_matmul_impl(&left, Some(&right), &g, &mut out);
+                let want = oracle_transpose_matmul(&z, &g);
+                assert_bits_eq(&out, &want, &format!("transpose_matmul {what}"));
+                assert_eq!(out.data().as_ptr(), ptr, "the buffer was reallocated");
+            }
+        }
+    }
+
+    /// A zero `a` (of either sign) skips its product even where the other
+    /// factor is infinite or NaN — `0·inf` would be NaN — in both narrow
+    /// kernels and, one past the cut-over, in the blocked ones; a non-zero
+    /// `a` takes the infinity or NaN in, as in the oracles.
+    #[test]
+    fn zero_a_skips_infinite_and_nan_factors() {
+        let special = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        for h in 1..=NARROW + 1 {
+            let (m, d) = (RB + 3, 11);
+            // Every third `a` is ±0, and half the rest are zero too.
+            let a = Matrix::from_fn(m, d, |r, c| match (r + 2 * c) % 6 {
+                0 => 0.0,
+                3 => -0.0,
+                1 if r % 2 == 0 => 0.0,
+                v => v as f32 - 2.5,
+            });
+            // Forward: specials in `b` rows that some `a` zeros face.
+            let b = Matrix::from_fn(d, h, |k, j| {
+                if (k + j) % 4 == 0 {
+                    special[(k + j) % 3]
+                } else {
+                    (k * 3 + j) as f32 * 0.25 - 1.0
+                }
+            });
+            assert_bits_eq(
+                &a.matmul(&b),
+                &oracle_matmul(&a, &b),
+                &format!("matmul {h}"),
+            );
+            // Weight gradient: specials in `g`.
+            let g = Matrix::from_fn(m, h, |i, j| {
+                if (i + j) % 5 == 0 {
+                    special[(i + 2 * j) % 3]
+                } else {
+                    (i + j) as f32 * 0.5 - 3.0
+                }
+            });
+            assert_bits_eq(
+                &a.transpose_matmul(&g),
+                &oracle_transpose_matmul(&a, &g),
+                &format!("transpose_matmul {h}"),
+            );
         }
     }
 

@@ -27,6 +27,9 @@ cargo build --release --offline
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+echo "==> kernel bit-identity suites on release codegen (glaive-nn, glaive-gnn lib tests)"
+cargo test -q --release --offline -p glaive-nn -p glaive-gnn --lib
+
 echo "==> whole-suite injection bit identity (faultsim ignored tests, release)"
 cargo test --release --offline -p glaive-faultsim -- --ignored
 
